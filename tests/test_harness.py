@@ -18,6 +18,7 @@ from factor_spectra.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     path_graph,
 )
 from factor_spectra.harness import (
@@ -519,6 +520,60 @@ def test_revalidate_explorer_kinds():
     assert not revalidate_counterexample(
         {"kind": "candidate-revalidation-failure", "r": 2, "k": 0, **cand}
     )
+
+
+def test_revalidate_hong_kind():
+    # K_3 + K_2 attains the bound (radius 2) although its degrees {1, 2}
+    # are neither regular nor in {delta, n-1}
+    ce = {
+        "kind": "hong-equality-mismatch",
+        "graph": serialize_graph(disjoint_union(complete_graph(3), complete_graph(2))),
+        "lambda": 2.0,
+        "bound": 2.0,
+        "expected_equality": False,
+    }
+    assert revalidate_counterexample(ce)
+    # C_5 is regular and attains the bound, as the characterization says
+    ce["graph"] = serialize_graph(cycle_graph(5))
+    assert not revalidate_counterexample(ce)
+
+
+def test_revalidate_curve_kind():
+    ce = {"kind": "curve-monotonicity-violation", "p": 6, "q": 12, "x_low": 0.0, "x_high": 1.0}
+    assert not revalidate_counterexample(ce)
+    # read backwards the decreasing curve rises
+    ce["x_low"], ce["x_high"] = 5.0, 0.0
+    assert revalidate_counterexample(ce)
+
+
+def test_revalidate_shape_kind():
+    ce = {
+        "kind": "hypothesis-shape-mismatch",
+        "graph": serialize_graph(path_graph(4)),
+        "expected_min_degree": 2,
+    }
+    assert revalidate_counterexample(ce)
+    ce["expected_min_degree"] = 1
+    assert not revalidate_counterexample(ce)
+
+
+def test_revalidate_perron_kind():
+    a, b, k = 2, 3, 0
+    n = bracket_min_n(a, b, k)
+    ce = {
+        "kind": "perron-system-residual",
+        "graph": serialize_graph(extremal_graph(ExtremalParams(a, b, k, n))),
+        "a": a,
+        "b": b,
+        "k": k,
+        "n": n,
+        "residual_tol": 1e-7,
+        "ratio_tol": 1e-6,
+    }
+    assert not revalidate_counterexample(ce)
+    # K_n has a constant Perron vector, which breaks the first identity
+    ce["graph"] = serialize_graph(complete_graph(n))
+    assert revalidate_counterexample(ce)
 
 
 def test_revalidate_unknown_kind():
