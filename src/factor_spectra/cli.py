@@ -31,12 +31,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
-from .criticality import (
-    FactorParams,
-    is_abk_critical,
-    is_fractional_abk_critical,
-    is_rk_critical,
-)
+from .criticality import FactorParams, decide
 from .factors import find_ab_factor, find_fractional_factor
 from .families import (
     ExtremalParams,
@@ -52,24 +47,17 @@ from .spectral import ConvergenceError, hong_bound, spectral_radius
 # -- input plumbing --------------------------------------------------------------
 
 
-def _read_input(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
-
-
-def _graph6_lines(text: str) -> list[str]:
-    return [line.strip() for line in text.splitlines() if line.strip()]
-
-
 def _load_corpus(args) -> list[Graph]:
     """Parsed input graphs: one per graph6 line, or a single graph from
     an edge-list file."""
-    text = _read_input(args.infile)
+    if args.infile is None or args.infile == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.infile, "r", encoding="ascii") as fh:
+            text = fh.read()
     if args.format == "edge-list":
         return [parse_edge_list(text)]
-    return [parse_graph6(line) for line in _graph6_lines(text)]
+    return [parse_graph6(line.strip()) for line in text.splitlines() if line.strip()]
 
 
 def _resolve_parallel(args) -> int:
@@ -84,7 +72,7 @@ def _resolve_parallel(args) -> int:
     return 1
 
 
-def _map_records(fn, graphs: list[Graph], workers: int) -> list[dict]:
+def _map_records(fn, graphs: list[Graph], workers: int) -> list:
     if workers <= 1 or len(graphs) <= 1:
         return [fn(g) for g in graphs]
     with ProcessPoolExecutor(max_workers=workers) as ex:
@@ -115,19 +103,6 @@ def _record_hong(g: Graph) -> dict:
         "bound": bound,
         "lambda": lam,
         "slack": bound - lam,
-    }
-
-
-def _record_decide(g: Graph, route: str, a: int, b: int, k: int, r: int) -> dict:
-    if route == "integral":
-        cert = is_abk_critical(g, FactorParams(a, b, k))
-    elif route == "fractional":
-        cert = is_fractional_abk_critical(g, FactorParams(a, b, k))
-    else:
-        cert = is_rk_critical(g, r, k)
-    return {
-        "critical": cert is None,
-        "certificate": None if cert is None else cert.to_json(),
     }
 
 
@@ -195,6 +170,19 @@ def _decide_text(rec: dict) -> str:
 # -- verbs -----------------------------------------------------------------------
 
 
+def _print_graphs(graphs, out: str) -> None:
+    """graph6 lines, edge lists separated by blank lines, or json records."""
+    for i, g in enumerate(graphs):
+        if out == "json":
+            print(json.dumps({"n": g.n, "edge_count": g.edge_count, "graph6": to_graph6(g)}))
+        elif out == "edge-list":
+            if i:
+                print()
+            print(to_edge_list(g), end="")
+        else:
+            print(to_graph6(g))
+
+
 def _cmd_construct(args) -> int:
     params = ExtremalParams(args.a, args.b, args.k, args.n)
     if args.what == "F":
@@ -203,17 +191,7 @@ def _cmd_construct(args) -> int:
         graphs = [base_join_graph(params)]
     else:
         graphs = list(enumerate_family(params))
-    first = True
-    for g in graphs:
-        if args.out == "json":
-            print(json.dumps({"n": g.n, "edge_count": g.edge_count, "graph6": to_graph6(g)}))
-        elif args.out == "edge-list":
-            if not first:
-                print()
-            print(to_edge_list(g), end="")
-        else:
-            print(to_graph6(g))
-        first = False
+    _print_graphs(graphs, args.out)
     return 0
 
 
@@ -248,10 +226,16 @@ def _cmd_hong(args) -> int:
 def _cmd_decide(args, route: str) -> int:
     graphs = _load_corpus(args)
     if route == "parity":
-        fn = partial(_record_decide, route=route, a=0, b=0, k=args.k, r=args.r)
+        if args.r < 2:  # before FactorParams, whose message speaks of a
+            raise ValueError(f"parity characterization needs r >= 2, got r={args.r}")
+        params = FactorParams(args.r, args.r, args.k)
     else:
-        fn = partial(_record_decide, route=route, a=args.a, b=args.b, k=args.k, r=0)
-    records = _map_records(fn, graphs, _resolve_parallel(args))
+        params = FactorParams(args.a, args.b, args.k)
+    fn = partial(decide, route=route, params=params)
+    records = [
+        {"critical": cert is None, "certificate": None if cert is None else cert.to_json()}
+        for cert in _map_records(fn, graphs, _resolve_parallel(args))
+    ]
     if args.out == "csv":
         flat = [_decide_columns_flatten(r) for r in records]
         _emit_records(flat, "csv", ["critical", "kind", "s_set", "t_set", "deficiency"], None)
@@ -317,20 +301,7 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    text = _read_input(args.infile)
-    if args.format == "edge-list":
-        graphs = [parse_edge_list(text)]
-    else:
-        graphs = [parse_graph6(line) for line in _graph6_lines(text)]
-    first = True
-    for g in graphs:
-        if args.out == "edge-list":
-            if not first:
-                print()
-            print(to_edge_list(g), end="")
-        else:
-            print(to_graph6(g))
-        first = False
+    _print_graphs(_load_corpus(args), args.out)
     return 0
 
 
@@ -410,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 1 if any input graph is not critical")
     p.set_defaults(handler=partial(_cmd_decide, route="fractional"))
 
-    p = sub.add_parser("rk", help="fractional (r, k)-criticality via the parity route")
+    p = sub.add_parser("rk", help="(r, k)-criticality (r-factors) by Tutte's parity condition")
     p.add_argument("--r", type=int, required=True, help="target degree r >= 2")
     p.add_argument("--k", type=int, default=0, help="deletion count k >= 0 (default 0)")
     _add_input_flags(p)

@@ -16,12 +16,17 @@ Each notion has an exact finite test:
   X = Y = emptyset is a legal pair when k = 0 and contributes the plain
   parity test on G itself.
 
+The integral and fractional conditions share one deficiency: a vertex of
+degree exactly a in G - S adds a - a = 0 to the T-sum, so the two differ
+only in which vertices their certificates list as T.
+
 Deciders sweep candidate sets in increasing size, then lexicographic
 order, and return the first violating set as a DeficiencyCertificate
 (deficiency = the amount by which the inequality fails; violating iff
 > 0), so certificates are deterministic and minimal in that order.  A
-returned None means critical.  `critical_by_definition` is the
-independent brute-force route used to cross-validate the deciders.
+returned None means critical.  `decide` dispatches on the route name.
+`critical_by_definition` is the independent brute-force route used to
+cross-validate the deciders.
 """
 
 from __future__ import annotations
@@ -103,6 +108,24 @@ def _mask_of(g: Graph, vertices) -> int:
     return m
 
 
+def _deletion_mask(g: Graph, s_set, k: int) -> tuple[int, int]:
+    s_mask = _mask_of(g, s_set)
+    s_size = s_mask.bit_count()
+    if s_size < k:
+        raise ValueError(f"|S| = {s_size} below k = {k}")
+    return s_mask, s_size
+
+
+def _pair_masks(g: Graph, x_set, y_set, r: int) -> tuple[int, int]:
+    if r < 1:
+        raise ValueError(f"need r >= 1, got {r}")
+    x_mask = _mask_of(g, x_set)
+    y_mask = _mask_of(g, y_set)
+    if x_mask & y_mask:
+        raise ValueError("X and Y must be disjoint")
+    return x_mask, y_mask
+
+
 def low_degree_set(g: Graph, s_set, max_degree: int) -> tuple[int, ...]:
     """Vertices outside S whose degree into G - S is <= max_degree."""
     s_mask = _mask_of(g, s_set)
@@ -119,31 +142,24 @@ def low_degree_set(g: Graph, s_set, max_degree: int) -> tuple[int, ...]:
 
 def integral_deficiency(g: Graph, s_set, params: FactorParams) -> int:
     """a|T| - sum_T d_{G-S} - b|S| + bk with T at threshold a-1.
-    Positive iff S witnesses that G is not (a, b, k)-critical."""
-    a, b, k = params.a, params.b, params.k
-    if b <= a:
+    Positive iff S witnesses that G is not (a, b, k)-critical.  Equal to
+    fractional_deficiency: vertices of degree a add a - a = 0 to it."""
+    if params.b <= params.a:
         raise ValueError("integral deficiency needs b > a; for a == b use the parity route")
-    s_mask = _mask_of(g, s_set)
-    s_size = s_mask.bit_count()
-    if s_size < k:
-        raise ValueError(f"|S| = {s_size} below k = {k}")
-    return _integral_deficiency_mask(g.adj, g.n, s_mask, s_size, a, b, k)
+    return fractional_deficiency(g, s_set, params)
 
 
-def _integral_deficiency_mask(adj, n, s_mask, s_size, a, b, k) -> int:
+def _deficiency(pairs, s_mask: int, s_size: int, a: int, b: int, k: int) -> int:
+    """sum of a - d_{G-S}(x) over x outside S with d_{G-S}(x) < a, minus
+    b(|S| - k); pairs holds (1 << v, adjacency row of v) for every v."""
     keep = ~s_mask
-    t_cnt = 0
-    t_sum = 0
-    rest = ((1 << n) - 1) & keep
-    while rest:
-        bit = rest & -rest
-        v = bit.bit_length() - 1
-        rest ^= bit
-        d = (adj[v] & keep).bit_count()
-        if d <= a - 1:
-            t_cnt += 1
-            t_sum += d
-    return a * t_cnt - t_sum - b * (s_size - k)
+    total = b * (k - s_size)
+    for bit, row in pairs:
+        if not s_mask & bit:
+            d = (row & keep).bit_count()
+            if d < a:
+                total += a - d
+    return total
 
 
 def integral_deficiency_histogram(g: Graph, s_set, params: FactorParams) -> int:
@@ -153,10 +169,7 @@ def integral_deficiency_histogram(g: Graph, s_set, params: FactorParams) -> int:
     a, b, k = params.a, params.b, params.k
     if b <= a:
         raise ValueError("integral deficiency needs b > a; for a == b use the parity route")
-    s_mask = _mask_of(g, s_set)
-    s_size = s_mask.bit_count()
-    if s_size < k:
-        raise ValueError(f"|S| = {s_size} below k = {k}")
+    s_mask, s_size = _deletion_mask(g, s_set, k)
     keep = ~s_mask
     hist = [0] * a
     for v in range(g.n):
@@ -171,38 +184,13 @@ def integral_deficiency_histogram(g: Graph, s_set, params: FactorParams) -> int:
 def fractional_deficiency(g: Graph, s_set, params: FactorParams) -> int:
     """bk - (b|S| - a|T| + sum_T d_{G-S}) with T at threshold a.
     Positive iff S witnesses that G is not fractionally (a, b, k)-critical."""
-    a, b, k = params.a, params.b, params.k
-    s_mask = _mask_of(g, s_set)
-    s_size = s_mask.bit_count()
-    if s_size < k:
-        raise ValueError(f"|S| = {s_size} below k = {k}")
-    return _fractional_deficiency_mask(g.adj, g.n, s_mask, s_size, a, b, k)
-
-
-def _fractional_deficiency_mask(adj, n, s_mask, s_size, a, b, k) -> int:
-    keep = ~s_mask
-    t_cnt = 0
-    t_sum = 0
-    rest = ((1 << n) - 1) & keep
-    while rest:
-        bit = rest & -rest
-        v = bit.bit_length() - 1
-        rest ^= bit
-        d = (adj[v] & keep).bit_count()
-        if d <= a:
-            t_cnt += 1
-            t_sum += d
-    return b * k - (b * s_size - a * t_cnt + t_sum)
+    s_mask, s_size = _deletion_mask(g, s_set, params.k)
+    return _deficiency(_pairs(g), s_mask, s_size, params.a, params.b, params.k)
 
 
 def count_odd_components(g: Graph, x_set, y_set, r: int) -> int:
     """Components C of G - (X u Y) with r|V(C)| + e_G(Y, V(C)) odd."""
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    x_mask = _mask_of(g, x_set)
-    y_mask = _mask_of(g, y_set)
-    if x_mask & y_mask:
-        raise ValueError("X and Y must be disjoint")
+    x_mask, y_mask = _pair_masks(g, x_set, y_set, r)
     return _count_odd_components_mask(g.adj, g.n, x_mask, y_mask, r)
 
 
@@ -237,14 +225,9 @@ def _count_odd_components_mask(adj, n, x_mask, y_mask, r) -> int:
 def parity_deficiency(g: Graph, x_set, y_set, r: int, k: int) -> int:
     """rk - (r|X| - r|Y| + sum_{v in Y} d_{G-X}(v) - h(X, Y)).
     Positive iff (X, Y) witnesses that G is not (r, k)-critical."""
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    x_mask = _mask_of(g, x_set)
-    y_mask = _mask_of(g, y_set)
-    if x_mask & y_mask:
-        raise ValueError("X and Y must be disjoint")
+    x_mask, y_mask = _pair_masks(g, x_set, y_set, r)
     if x_mask.bit_count() < k:
         raise ValueError(f"|X| = {x_mask.bit_count()} below k = {k}")
     h = _count_odd_components_mask(g.adj, g.n, x_mask, y_mask, r)
@@ -259,87 +242,66 @@ def parity_deficiency(g: Graph, x_set, y_set, r: int, k: int) -> int:
     )
 
 
-# -- subset sweep order --------------------------------------------------------
-
-_subset_order_cache: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
-
-
-def _subsets_by_size(n: int, min_size: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(mask, tuple) for every subset of range(n) with size >= min_size,
-    increasing size then lexicographic within a size."""
-    key = (n, min_size)
-    cached = _subset_order_cache.get(key)
-    if cached is None:
-        cached = []
-        for size in range(min_size, n + 1):
-            for combo in itertools.combinations(range(n), size):
-                m = 0
-                for v in combo:
-                    m |= 1 << v
-                cached.append((m, combo))
-        _subset_order_cache[key] = cached
-    return cached
-
-
 # -- deciders -------------------------------------------------------------------
 
 
-def is_abk_critical(
-    g: Graph, params: FactorParams, cap: int = SUBSET_SWEEP_CAP
+def _pairs(g: Graph) -> list[tuple[int, int]]:
+    return [(1 << v, row) for v, row in enumerate(g.adj)]
+
+
+def _vertices(mask: int) -> tuple[int, ...]:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _subsets_by_size(n: int, min_size: int):
+    """(mask, size) for every subset of range(n) with size >= min_size,
+    increasing size then lexicographic within a size.  Lazy, so a sweep
+    holds one subset at a time."""
+    bits = [1 << v for v in range(n)]
+    for size in range(min_size, n + 1):
+        for combo in itertools.combinations(bits, size):
+            yield sum(combo), size
+
+
+def _sweep(
+    g: Graph, params: FactorParams, kind: str, t_threshold: int
 ) -> DeficiencyCertificate | None:
+    """The first S with |S| >= k (by size, then lex) of positive
+    deficiency, as a certificate listing T at t_threshold; None if none."""
+    a, b, k = params.a, params.b, params.k
+    if g.n < a + k + 1:
+        raise ValueError(f"need n >= a + k + 1 = {a + k + 1}, got n={g.n}")
+    if g.n > SUBSET_SWEEP_CAP:
+        raise ValueError(f"n={g.n} exceeds the sweep cap {SUBSET_SWEEP_CAP}")
+    pairs = _pairs(g)
+    for s_mask, s_size in _subsets_by_size(g.n, k):
+        d = _deficiency(pairs, s_mask, s_size, a, b, k)
+        if d > 0:
+            s_set = _vertices(s_mask)
+            return DeficiencyCertificate(kind, s_set, low_degree_set(g, s_set, t_threshold), d)
+    return None
+
+
+def is_abk_critical(g: Graph, params: FactorParams) -> DeficiencyCertificate | None:
     """None iff G is (a, b, k)-critical; else the first violating S (by
     size, then lex) as an integral certificate.  Needs b > a and
     n >= a + k + 1; every S with |S| >= k is enumerated, so n is capped."""
-    a, b, k = params.a, params.b, params.k
-    if a == b:
+    if params.a == params.b:
         raise ValueError(
             "integral characterization needs b > a; for a == b == r use is_rk_critical"
         )
-    if g.n < a + k + 1:
-        raise ValueError(f"need n >= a + k + 1 = {a + k + 1}, got n={g.n}")
-    if g.n > cap:
-        raise ValueError(f"n={g.n} exceeds the sweep cap {cap}")
-    adj = g.adj
-    n = g.n
-    for s_mask, combo in _subsets_by_size(n, k):
-        d = _integral_deficiency_mask(adj, n, s_mask, len(combo), a, b, k)
-        if d > 0:
-            return DeficiencyCertificate(
-                kind="integral",
-                s_set=combo,
-                t_set=low_degree_set(g, combo, a - 1),
-                deficiency=d,
-            )
-    return None
+    return _sweep(g, params, "integral", params.a - 1)
 
 
 def is_fractional_abk_critical(
-    g: Graph, params: FactorParams, cap: int = SUBSET_SWEEP_CAP
+    g: Graph, params: FactorParams
 ) -> DeficiencyCertificate | None:
     """None iff G is fractionally (a, b, k)-critical; else the first
     violating S as a fractional certificate.  Allows a == b."""
-    a, b, k = params.a, params.b, params.k
-    if g.n < a + k + 1:
-        raise ValueError(f"need n >= a + k + 1 = {a + k + 1}, got n={g.n}")
-    if g.n > cap:
-        raise ValueError(f"n={g.n} exceeds the sweep cap {cap}")
-    adj = g.adj
-    n = g.n
-    for s_mask, combo in _subsets_by_size(n, k):
-        d = _fractional_deficiency_mask(adj, n, s_mask, len(combo), a, b, k)
-        if d > 0:
-            return DeficiencyCertificate(
-                kind="fractional",
-                s_set=combo,
-                t_set=low_degree_set(g, combo, a),
-                deficiency=d,
-            )
-    return None
+    return _sweep(g, params, "fractional", params.a)
 
 
-def is_rk_critical(
-    g: Graph, r: int, k: int, cap: int = PAIR_SWEEP_CAP
-) -> DeficiencyCertificate | None:
+def is_rk_critical(g: Graph, r: int, k: int) -> DeficiencyCertificate | None:
     """None iff G is (r, k)-critical (r-factor after every k-deletion);
     else the first violating disjoint pair (X, Y), X by size/lex, then Y
     by size/lex, as a parity certificate.
@@ -356,13 +318,11 @@ def is_rk_critical(
         raise ValueError(f"need k >= 0, got k={k}")
     if g.n < r + k + 1:
         raise ValueError(f"need n >= r + k + 1 = {r + k + 1}, got n={g.n}")
-    if g.n > cap:
-        raise ValueError(f"n={g.n} exceeds the pair sweep cap {cap}")
+    if g.n > PAIR_SWEEP_CAP:
+        raise ValueError(f"n={g.n} exceeds the pair sweep cap {PAIR_SWEEP_CAP}")
     adj = g.adj
     n = g.n
-    rk = r * k
-    for x_mask, x_combo in _subsets_by_size(n, k):
-        x_size = len(x_combo)
+    for x_mask, x_size in _subsets_by_size(n, k):
         keep = ~x_mask
         rest = [v for v in range(n) if not x_mask >> v & 1]
         margins = sorted((adj[v] & keep).bit_count() - r for v in rest)
@@ -385,11 +345,26 @@ def is_rk_critical(
                 if surplus < 0:
                     return DeficiencyCertificate(
                         kind="parity",
-                        s_set=x_combo,
+                        s_set=_vertices(x_mask),
                         t_set=y_combo,
                         deficiency=-surplus,
                     )
     return None
+
+
+def decide(g: Graph, route: str, params: FactorParams) -> DeficiencyCertificate | None:
+    """The sweep for one route: "integral" (is_abk_critical), "fractional"
+    (is_fractional_abk_critical) or "parity" (is_rk_critical, with
+    params = FactorParams(r, r, k)).  None means critical."""
+    if route == "integral":
+        return is_abk_critical(g, params)
+    if route == "fractional":
+        return is_fractional_abk_critical(g, params)
+    if route == "parity":
+        if params.a != params.b:
+            raise ValueError(f"the parity route needs a == b == r, got a={params.a}, b={params.b}")
+        return is_rk_critical(g, params.a, params.k)
+    raise ValueError(f"unknown route {route!r}")
 
 
 # -- definitional route ---------------------------------------------------------

@@ -59,11 +59,10 @@ from .criticality import (
     DeficiencyCertificate,
     FactorParams,
     critical_by_definition,
+    decide,
     fractional_deficiency,
     integral_deficiency,
     integral_deficiency_histogram,
-    is_abk_critical,
-    is_fractional_abk_critical,
     is_rk_critical,
     low_degree_set,
     recheck_certificate,
@@ -138,6 +137,16 @@ class CheckResult:
         }
 
 
+def _not_met(check_id: str, params: dict, need: int, claim: str) -> CheckResult:
+    return CheckResult(
+        check_id,
+        params,
+        "hypothesis_not_met",
+        {"min_n": need},
+        notes=f"{claim} needs n >= {need}, got n={params['n']}",
+    )
+
+
 # -- hypothesis-minimal orders ------------------------------------------------
 
 
@@ -170,15 +179,6 @@ def parity_spectral_min_n(r: int, k: int) -> int:
     return 2 * (2 * r + k + 2) * (r + k + 2)
 
 
-def _require_shape(a: int, b: int, k: int) -> None:
-    if a < 1:
-        raise ValueError(f"need a >= 1, got a={a}")
-    if b < a:
-        raise ValueError(f"need b >= a, got a={a}, b={b}")
-    if k < 0:
-        raise ValueError(f"need k >= 0, got k={k}")
-
-
 # -- graph (de)serialization for counterexamples ------------------------------
 
 
@@ -195,6 +195,10 @@ def deserialize_graph(d: dict) -> Graph:
     if d["format"] == "edge-list":
         return parse_edge_list(d["data"])
     raise ValueError(f"unknown graph serialization format {d['format']!r}")
+
+
+def _radius(graph: dict) -> float:
+    return spectral_radius(deserialize_graph(graph)).lam
 
 
 # -- isomorphism (desk scale) --------------------------------------------------
@@ -301,6 +305,10 @@ def random_connected_graph(
 # -- individual checks ----------------------------------------------------------
 
 
+def _outside_interval(lam: float, lower: float, upper: float, margin: float) -> bool:
+    return not (lower + margin < lam < upper - margin)
+
+
 def check_family_radius_bracket(
     a: int, b: int, k: int, n: int, class_cap: int = FAMILY_CLASS_CAP
 ) -> CheckResult:
@@ -308,17 +316,11 @@ def check_family_radius_bracket(
     (n-b-2, n-b-1), with 1e-8 margins, once n meets the bracket's own
     order bound.  Falls back to the distinguished member alone when the
     family has more degree classes than class_cap."""
-    _require_shape(a, b, k)
+    FactorParams(a, b, k)  # validates the shape
     params = {"a": a, "b": b, "k": k, "n": n}
     need = bracket_min_n(a, b, k)
     if n < need:
-        return CheckResult(
-            "family-radius-bracket",
-            params,
-            "hypothesis_not_met",
-            {"min_n": need},
-            notes=f"bracket claim needs n >= {need}, got n={n}",
-        )
+        return _not_met("family-radius-bracket", params, need, "bracket claim")
     fp = ExtremalParams(a, b, k, n)
     classes = family_degree_classes(fp)
     if len(classes) > class_cap:
@@ -337,7 +339,7 @@ def check_family_radius_bracket(
         lam_min = min(lam_min, lam)
         lam_max = max(lam_max, lam)
         count += 1
-        if not (lo + BRACKET_MARGIN < lam < hi - BRACKET_MARGIN):
+        if _outside_interval(lam, lo, hi, BRACKET_MARGIN):
             return CheckResult(
                 "family-radius-bracket",
                 params,
@@ -368,24 +370,22 @@ def check_family_radius_bracket(
     )
 
 
+def _not_dominated(lam: float, lam_rival: float, margin: float) -> bool:
+    return lam_rival >= lam - margin
+
+
 def check_family_maximality(a: int, b: int, k: int, n: int) -> CheckResult:
     """The distinguished member strictly maximizes the radius over the
     family's degree-class representatives (margin 1e-9) once n meets the
     maximality claim's order bound.  Needs a <= 5 so the class list stays
     small."""
-    _require_shape(a, b, k)
+    FactorParams(a, b, k)  # validates the shape
     if a > 5:
         raise ValueError(f"family enumeration is capped at a <= 5, got a={a}")
     params = {"a": a, "b": b, "k": k, "n": n}
     need = maximality_min_n(a, b, k)
     if n < need:
-        return CheckResult(
-            "family-maximality",
-            params,
-            "hypothesis_not_met",
-            {"min_n": need},
-            notes=f"maximality claim needs n >= {need}, got n={n}",
-        )
+        return _not_met("family-maximality", params, need, "maximality claim")
     fp = ExtremalParams(a, b, k, n)
     reps = list(enumerate_family(fp))
     distinguished = reps[0]
@@ -402,7 +402,7 @@ def check_family_maximality(a: int, b: int, k: int, n: int) -> CheckResult:
     for g in reps[1:]:
         lam = spectral_radius(g).lam
         best_rival = max(best_rival, lam)
-        if lam >= lam_f - STRICT_MARGIN:
+        if _not_dominated(lam_f, lam, STRICT_MARGIN):
             return CheckResult(
                 "family-maximality",
                 params,
@@ -432,59 +432,73 @@ def check_family_maximality(a: int, b: int, k: int, n: int) -> CheckResult:
     )
 
 
+def _edge_count_off(edge_count: int, expected: int) -> bool:
+    return edge_count != expected
+
+
+def _sharpness_certificate(
+    g: Graph, route: str, params: FactorParams
+) -> DeficiencyCertificate | None:
+    """The violating set the sharpness claims name: the sweep's first one
+    when n <= DECIDER_N_CAP, else the clique block S = {0, ..., a+k-1}
+    when it violates."""
+    if g.n <= DECIDER_N_CAP:
+        return decide(g, route, params)
+    s_block = tuple(range(params.a + params.k))
+    if route == "integral":
+        d, threshold = integral_deficiency(g, s_block, params), params.a - 1
+    else:
+        d, threshold = fractional_deficiency(g, s_block, params), params.a
+    if d <= 0:
+        return None
+    return DeficiencyCertificate(route, s_block, low_degree_set(g, s_block, threshold), d)
+
+
+def _certificate_off(
+    cert: DeficiencyCertificate | None, expected_s_set, expected_deficiency: int
+) -> bool:
+    return (
+        cert is None
+        or cert.s_set != tuple(expected_s_set)
+        or cert.deficiency != expected_deficiency
+    )
+
+
 def check_edge_count_sharpness(a: int, b: int, k: int, n: int) -> CheckResult:
     """The distinguished member sits one edge below the size threshold
     C(n-b-1,2) + ab + 2a + (b+1)k and is not (a, b, k)-critical: the
     block S = {0..a+k-1} violates with deficiency exactly 1.  Uses the
     full subset-sweep decider when n is small enough, the fixed
     certificate route otherwise."""
-    _require_shape(a, b, k)
+    factor_params = FactorParams(a, b, k)
     if b <= a:
         raise ValueError(f"integral criticality needs b > a, got a={a}, b={b}")
     params = {"a": a, "b": b, "k": k, "n": n}
     need = size_min_n(a, b, k)
     if n < need:
-        return CheckResult(
-            "edge-count-sharpness",
-            params,
-            "hypothesis_not_met",
-            {"min_n": need},
-            notes=f"size threshold claim needs n >= {need}, got n={n}",
-        )
+        return _not_met("edge-count-sharpness", params, need, "size threshold claim")
     fp = ExtremalParams(a, b, k, n)
     g = extremal_graph(fp)
     bound = comb(n - b - 1, 2) + a * b + 2 * a + (b + 1) * k
     actual = g.edge_count
     formula = extremal_edge_count(fp)
-    if not (actual == formula == bound - 1):
-        return CheckResult(
-            "edge-count-sharpness",
-            params,
-            "fail",
-            {"edge_count": actual, "formula": formula, "threshold": bound},
-            counterexample={
-                "kind": "edge-count-mismatch",
-                "graph": serialize_graph(g),
-                "expected": bound - 1,
-            },
-        )
+    for expected in (bound - 1, formula):
+        if _edge_count_off(actual, expected):
+            return CheckResult(
+                "edge-count-sharpness",
+                params,
+                "fail",
+                {"edge_count": actual, "formula": formula, "threshold": bound},
+                counterexample={
+                    "kind": "edge-count-mismatch",
+                    "graph": serialize_graph(g),
+                    "expected": expected,
+                },
+            )
     s_block = tuple(range(a + k))
-    factor_params = FactorParams(a, b, k)
-    if n <= DECIDER_N_CAP:
-        cert = is_abk_critical(g, factor_params)
-        route = "subset-sweep decider"
-    else:
-        d = integral_deficiency(g, s_block, factor_params)
-        cert = DeficiencyCertificate(
-            kind="integral",
-            s_set=s_block,
-            t_set=low_degree_set(g, s_block, a - 1),
-            deficiency=d,
-        )
-        if not cert.violating:
-            cert = None
-        route = "fixed-certificate route"
-    if cert is None or cert.s_set != s_block or cert.deficiency != 1:
+    cert = _sharpness_certificate(g, "integral", factor_params)
+    route = "subset-sweep decider" if n <= DECIDER_N_CAP else "fixed-certificate route"
+    if _certificate_off(cert, s_block, 1):
         return CheckResult(
             "edge-count-sharpness",
             params,
@@ -527,6 +541,43 @@ def perron_ratio_cubic(a: int, b: int, k: int, n: int, lam0: float) -> float:
     )
 
 
+def _perron_metrics(g: Graph, a: int, b: int, k: int, n: int) -> dict:
+    """Radius, the four class-equation residuals and the ratio identity
+    of check_perron_system, read off g's Perron vector."""
+    fp = ExtremalParams(a, b, k, n)
+    report = spectral_radius(g)
+    lam0, y = report.lam, report.perron
+    u1, w1, wa, t1, t2 = 0, fp.w_start, fp.w_start + (a - 1), fp.t1, fp.t1 + 1
+    g_val = perron_ratio_cubic(a, b, k, n, lam0)
+    ratio_lhs = y[t1] / y[t2]
+    ratio_rhs = lam0 * (lam0 + 1.0) * (lam0 - (n - 2 * a - b - k - 1)) / g_val
+    return {
+        "lambda0": lam0,
+        "residual_t1": abs(lam0 * y[t1] - ((a + k) * y[u1] + (a - 1) * y[w1])),
+        "residual_t2": abs(lam0 * y[t2] - (a + k) * y[u1]),
+        "residual_w1": abs(
+            lam0 * y[w1]
+            - ((a + k) * y[u1] + (a - 2) * y[w1] + (n - 2 * a - b - k) * y[wa] + y[t1])
+        ),
+        "residual_wa": abs(
+            lam0 * y[wa]
+            - ((a + k) * y[u1] + (a - 1) * y[w1] + (n - 2 * a - b - k - 1) * y[wa])
+        ),
+        "ratio_lhs": ratio_lhs,
+        "ratio_rhs": ratio_rhs,
+        "ratio_relative_error": abs(ratio_lhs - ratio_rhs) / abs(ratio_rhs),
+        "cubic_value": g_val,
+    }
+
+
+def _perron_off(metrics: dict, residual_tol: float, ratio_tol: float) -> bool:
+    return (
+        any(metrics[f"residual_{c}"] >= residual_tol for c in ("t1", "t2", "w1", "wa"))
+        or metrics["ratio_relative_error"] >= ratio_tol
+        or not metrics["cubic_value"] > 0.0
+    )
+
+
 def check_perron_system(a: int, b: int, k: int, n: int) -> CheckResult:
     """On the distinguished member, with y the Perron vector and lam0 the
     radius, the five structural classes (clique block u, attached
@@ -544,67 +595,19 @@ def check_perron_system(a: int, b: int, k: int, n: int) -> CheckResult:
 
     within 1e-6 relative, where g is perron_ratio_cubic; g(lam0) > 0.
     Needs a >= 2 so every class is populated."""
-    _require_shape(a, b, k)
+    FactorParams(a, b, k)  # validates the shape
     if a < 2:
         raise ValueError(f"the Perron system coordinates need a >= 2, got a={a}")
     params = {"a": a, "b": b, "k": k, "n": n}
     need = bracket_min_n(a, b, k)
     if n < need:
-        return CheckResult(
-            "perron-system",
-            params,
-            "hypothesis_not_met",
-            {"min_n": need},
-            notes=f"radius location needs n >= {need}, got n={n}",
-        )
+        return _not_met("perron-system", params, need, "radius location")
     fp = ExtremalParams(a, b, k, n)
     if n - 2 * a - b - k < 1:
         raise ValueError("the untouched clique class is empty at this order")
     g = extremal_graph(fp)
-    report = spectral_radius(g)
-    lam0 = report.lam
-    y = report.perron
-    u1 = 0
-    w1 = fp.w_start
-    wa = fp.w_start + (a - 1)
-    t1 = fp.t1
-    t2 = fp.t1 + 1
-
-    res = {
-        "residual_t1": abs(lam0 * y[t1] - ((a + k) * y[u1] + (a - 1) * y[w1])),
-        "residual_t2": abs(lam0 * y[t2] - (a + k) * y[u1]),
-        "residual_w1": abs(
-            lam0 * y[w1]
-            - (
-                (a + k) * y[u1]
-                + (a - 2) * y[w1]
-                + (n - 2 * a - b - k) * y[wa]
-                + y[t1]
-            )
-        ),
-        "residual_wa": abs(
-            lam0 * y[wa]
-            - ((a + k) * y[u1] + (a - 1) * y[w1] + (n - 2 * a - b - k - 1) * y[wa])
-        ),
-    }
-    g_val = perron_ratio_cubic(a, b, k, n, lam0)
-    ratio_lhs = y[t1] / y[t2]
-    ratio_rhs = lam0 * (lam0 + 1.0) * (lam0 - (n - 2 * a - b - k - 1)) / g_val
-    rel_err = abs(ratio_lhs - ratio_rhs) / abs(ratio_rhs)
-    metrics = {
-        "lambda0": lam0,
-        **res,
-        "ratio_lhs": ratio_lhs,
-        "ratio_rhs": ratio_rhs,
-        "ratio_relative_error": rel_err,
-        "cubic_value": g_val,
-    }
-    bad = (
-        any(v >= RESIDUAL_TOL for v in res.values())
-        or rel_err >= RATIO_TOL
-        or not g_val > 0.0
-    )
-    if bad:
+    metrics = _perron_metrics(g, a, b, k, n)
+    if _perron_off(metrics, RESIDUAL_TOL, RATIO_TOL):
         return CheckResult(
             "perron-system",
             params,
@@ -624,54 +627,40 @@ def check_perron_system(a: int, b: int, k: int, n: int) -> CheckResult:
     return CheckResult("perron-system", params, "pass", metrics)
 
 
-def _normalize_grid_item(item) -> tuple:
-    """Grid items: ("integral", a, b, k), ("fractional", a, b, k), or
-    ("parity", r, k)."""
-    mode = item[0]
-    if mode == "integral":
-        _, a, b, k = item
-        if b <= a:
-            raise ValueError("integral grid items need b > a")
-        _require_shape(a, b, k)
-        return ("integral", a, b, k)
-    if mode == "fractional":
-        _, a, b, k = item
-        _require_shape(a, b, k)
-        return ("fractional", a, b, k)
-    if mode == "parity":
-        _, r, k = item
+def _grid_item(item) -> tuple[str, FactorParams]:
+    """Grid items ("integral", a, b, k), ("fractional", a, b, k) and
+    ("parity", r, k) as a decide() route and its parameters."""
+    route, *nums = item
+    if route == "parity":
+        r, k = nums
         if r < 2:
             raise ValueError("parity grid items need r >= 2")
-        if k < 0:
-            raise ValueError("parity grid items need k >= 0")
-        return ("parity", r, k)
-    raise ValueError(f"unknown grid mode {mode!r}")
+        return route, FactorParams(r, r, k)
+    if route not in ("integral", "fractional"):
+        raise ValueError(f"unknown grid mode {route!r}")
+    a, b, k = nums
+    if route == "integral" and b <= a:
+        raise ValueError("integral grid items need b > a")
+    return route, FactorParams(a, b, k)
 
 
-def _decider_verdict(g: Graph, item: tuple) -> tuple[bool, DeficiencyCertificate | None]:
-    if item[0] == "integral":
-        cert = is_abk_critical(g, FactorParams(item[1], item[2], item[3]))
-    elif item[0] == "fractional":
-        cert = is_fractional_abk_critical(g, FactorParams(item[1], item[2], item[3]))
-    else:
-        cert = is_rk_critical(g, item[1], item[2])
-    return cert is None, cert
+def _verdicts(
+    g: Graph, route: str, params: FactorParams
+) -> tuple[DeficiencyCertificate | None, bool]:
+    """The sweep's certificate and the definitional verdict; the parity
+    route asks the definition for integral [r, r]-factors."""
+    mode = "fractional" if route == "fractional" else "integral"
+    return decide(g, route, params), critical_by_definition(g, params, mode)
 
 
-def _definition_verdict(g: Graph, item: tuple) -> bool:
-    if item[0] == "integral":
-        return critical_by_definition(g, FactorParams(item[1], item[2], item[3]), "integral")
-    if item[0] == "fractional":
-        return critical_by_definition(
-            g, FactorParams(item[1], item[2], item[3]), "fractional"
-        )
-    return critical_by_definition(g, FactorParams(item[1], item[1], item[2]), "integral")
+def _decider_disagrees(cert: DeficiencyCertificate | None, definition: bool) -> bool:
+    return (cert is None) != definition
 
 
-def _item_min_n(item: tuple) -> int:
-    if item[0] == "parity":
-        return item[1] + item[2] + 1
-    return item[1] + item[3] + 1
+def _histogram_off(g: Graph, s_set, params: FactorParams) -> bool:
+    return integral_deficiency(g, s_set, params) != integral_deficiency_histogram(
+        g, s_set, params
+    )
 
 
 def cross_validate_deciders(n_max: int, param_grid: Iterable) -> CheckResult:
@@ -682,10 +671,10 @@ def cross_validate_deciders(n_max: int, param_grid: Iterable) -> CheckResult:
     pair for the integral grid items, on the n <= 5 sub-corpus."""
     if not 1 <= n_max <= 7:
         raise ValueError(f"exhaustive cross-validation needs 1 <= n_max <= 7, got {n_max}")
-    grid = [_normalize_grid_item(item) for item in param_grid]
+    grid = [(tuple(item), *_grid_item(item)) for item in param_grid]
     if not grid:
         raise ValueError("empty parameter grid")
-    params = {"n_max": n_max, "grid": [list(item) for item in grid]}
+    params = {"n_max": n_max, "grid": [list(item) for item, _, _ in grid]}
     compared = {"integral": 0, "fractional": 0, "parity": 0}
     skipped = 0
     histogram_pairs = 0
@@ -693,13 +682,12 @@ def cross_validate_deciders(n_max: int, param_grid: Iterable) -> CheckResult:
     for n in range(1, n_max + 1):
         for g in enumerate_graphs(n, connected_only=True):
             graphs += 1
-            for item in grid:
-                if g.n < _item_min_n(item):
+            for item, route, p in grid:
+                if g.n < p.a + p.k + 1:
                     skipped += 1
                     continue
-                verdict, cert = _decider_verdict(g, item)
-                definition = _definition_verdict(g, item)
-                if verdict != definition:
+                cert, definition = _verdicts(g, route, p)
+                if _decider_disagrees(cert, definition):
                     return CheckResult(
                         "decider-cross-validation",
                         params,
@@ -709,24 +697,21 @@ def cross_validate_deciders(n_max: int, param_grid: Iterable) -> CheckResult:
                             "kind": "decider-disagreement",
                             "graph": serialize_graph(g),
                             "item": list(item),
-                            "decider_critical": verdict,
+                            "decider_critical": cert is None,
                             "definition_critical": definition,
                             "certificate": None if cert is None else cert.to_json(),
                         },
                     )
-                compared[item[0]] += 1
+                compared[route] += 1
             if g.n > HISTOGRAM_IDENTITY_N_CAP:
                 continue
-            for item in grid:
-                if item[0] != "integral":
+            for item, route, p in grid:
+                if route != "integral":
                     continue
-                fparams = FactorParams(item[1], item[2], item[3])
-                for size in range(fparams.k, n + 1):
+                for size in range(p.k, n + 1):
                     for combo in itertools.combinations(range(n), size):
-                        d1 = integral_deficiency(g, combo, fparams)
-                        d2 = integral_deficiency_histogram(g, combo, fparams)
                         histogram_pairs += 1
-                        if d1 != d2:
+                        if _histogram_off(g, combo, p):
                             return CheckResult(
                                 "decider-cross-validation",
                                 params,
@@ -737,8 +722,8 @@ def cross_validate_deciders(n_max: int, param_grid: Iterable) -> CheckResult:
                                     "graph": serialize_graph(g),
                                     "s_set": list(combo),
                                     "item": list(item),
-                                    "direct": d1,
-                                    "histogram": d2,
+                                    "direct": integral_deficiency(g, combo, p),
+                                    "histogram": integral_deficiency_histogram(g, combo, p),
                                 },
                             )
     return CheckResult(
@@ -757,6 +742,21 @@ def cross_validate_deciders(n_max: int, param_grid: Iterable) -> CheckResult:
 
 
 HONG_CURVE_SAMPLES = ((6, 12), (8, 24), (9, 30), (10, 45), (12, 50))
+
+
+def _hong_tight(g: Graph) -> bool:
+    """Whether the characterization promises equality: g is regular or
+    every degree lies in {delta, n-1}."""
+    degs = set(g.degrees())
+    return degs <= {min(degs), g.n - 1}
+
+
+def _hong_off(g: Graph, lam: float, bound: float) -> bool:
+    return lam > bound + EIG_TOL or _hong_tight(g) != (bound - lam < RESIDUAL_TOL)
+
+
+def _curve_rises(p: int, q: int, x_low: float, x_high: float) -> bool:
+    return hong_bound_formula(x_high, p, q) > hong_bound_formula(x_low, p, q) + 1e-12
 
 
 def check_hong_bound(n_max: int, curve_points: int = 100) -> CheckResult:
@@ -779,11 +779,8 @@ def check_hong_bound(n_max: int, curve_points: int = 100) -> CheckResult:
             lam = spectral_radius(g).lam
             bound = hong_bound(g)
             worst_overrun = max(worst_overrun, lam - bound)
-            degs = set(g.degrees())
-            delta = min(degs)
-            expected_equal = degs <= {delta, n - 1}
-            actual_equal = bound - lam < RESIDUAL_TOL
-            if lam > bound + EIG_TOL or expected_equal != actual_equal:
+            expected_equal = _hong_tight(g)
+            if _hong_off(g, lam, bound):
                 return CheckResult(
                     "hong-bound",
                     params,
@@ -804,10 +801,9 @@ def check_hong_bound(n_max: int, curve_points: int = 100) -> CheckResult:
     curve_checks = 0
     for p, q in HONG_CURVE_SAMPLES:
         xs = [i * (p - 1) / (curve_points - 1) for i in range(curve_points)]
-        values = [hong_bound_formula(x, p, q) for x in xs]
-        for i in range(len(values) - 1):
+        for i in range(len(xs) - 1):
             curve_checks += 1
-            if values[i + 1] > values[i] + 1e-12:
+            if _curve_rises(p, q, xs[i], xs[i + 1]):
                 return CheckResult(
                     "hong-bound",
                     params,
@@ -835,6 +831,10 @@ def check_hong_bound(n_max: int, curve_points: int = 100) -> CheckResult:
     )
 
 
+def _shape_off(g: Graph, expected_min_degree: int) -> bool:
+    return not g.is_connected() or g.min_degree() != expected_min_degree
+
+
 def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
     """At the stated order bound of each criticality condition, the
     distinguished member meets every hypothesis (connected, minimum
@@ -849,7 +849,7 @@ def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
 
     The non-criticality witness is the joined clique block with
     deficiency exactly 1, re-checked from the deficiency definition."""
-    _require_shape(a, b, k)
+    fparams = FactorParams(a, b, k)
     if target not in SHARPNESS_TARGETS:
         raise ValueError(f"unknown sharpness target {target!r}")
     if target in ("spectral-integral", "size-integral", "spectral-fractional"):
@@ -865,17 +865,11 @@ def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
         need = spectral_min_n(a, b, k)
     params = {"a": a, "b": b, "k": k, "n": n, "target": target}
     if n < need:
-        return CheckResult(
-            "sharpness",
-            params,
-            "hypothesis_not_met",
-            {"min_n": need},
-            notes=f"target {target} needs n >= {need}, got n={n}",
-        )
+        return _not_met("sharpness", params, need, f"target {target}")
     fp = ExtremalParams(a, b, k, n)
     g = extremal_graph(fp)
     metrics: dict = {"min_n": need, "delta": g.min_degree()}
-    if not g.is_connected() or g.min_degree() != a + k:
+    if _shape_off(g, a + k):
         return CheckResult(
             "sharpness",
             params,
@@ -891,7 +885,7 @@ def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
         bound = comb(n - b - 1, 2) + a * b + 2 * a + (b + 1) * k
         metrics["edge_count"] = g.edge_count
         metrics["threshold"] = bound
-        if g.edge_count != bound - 1:
+        if _edge_count_off(g.edge_count, bound - 1):
             return CheckResult(
                 "sharpness",
                 params,
@@ -903,19 +897,12 @@ def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
                     "expected": bound - 1,
                 },
             )
-    integral_route = target in ("spectral-integral", "size-integral")
+    kind = "integral" if target in ("spectral-integral", "size-integral") else "fractional"
     s_block = tuple(range(a + k))
-    fparams = FactorParams(a, b, k)
-    if integral_route:
-        d = integral_deficiency(g, s_block, fparams)
-        kind = "integral"
-        t_set = low_degree_set(g, s_block, a - 1)
-    else:
-        d = fractional_deficiency(g, s_block, fparams)
-        kind = "fractional"
-        t_set = low_degree_set(g, s_block, a)
-    metrics["block_deficiency"] = d
-    if d != 1:
+    deficiency = integral_deficiency if kind == "integral" else fractional_deficiency
+    metrics["block_deficiency"] = deficiency(g, s_block, fparams)
+    cert = _sharpness_certificate(g, kind, fparams)
+    if _certificate_off(cert, s_block, 1):
         return CheckResult(
             "sharpness",
             params,
@@ -930,39 +917,10 @@ def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
                 "route": kind,
                 "expected_s_set": list(s_block),
                 "expected_deficiency": 1,
-                "got": {
-                    "kind": kind,
-                    "s_set": list(s_block),
-                    "t_set": list(t_set),
-                    "deficiency": d,
-                },
+                "got": None if cert is None else cert.to_json(),
             },
         )
-    route = "fixed certificate"
-    if n <= DECIDER_N_CAP:
-        if integral_route:
-            cert = is_abk_critical(g, fparams)
-        else:
-            cert = is_fractional_abk_critical(g, fparams)
-        route = "subset-sweep decider"
-        if cert is None or not cert.violating:
-            return CheckResult(
-                "sharpness",
-                params,
-                "fail",
-                metrics,
-                counterexample={
-                    "kind": "certificate-mismatch",
-                    "graph": serialize_graph(g),
-                    "a": a,
-                    "b": b,
-                    "k": k,
-                    "route": kind,
-                    "expected_s_set": list(s_block),
-                    "expected_deficiency": 1,
-                    "got": None if cert is None else cert.to_json(),
-                },
-            )
+    route = "subset-sweep decider" if n <= DECIDER_N_CAP else "fixed certificate"
     if n <= 200:
         metrics["lambda"] = spectral_radius(g).lam
     return CheckResult(
@@ -975,6 +933,10 @@ def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
             "minimum-degree hypothesis with equality, yet is not critical"
         ),
     )
+
+
+def _not_lowered(lam: float, lam_sub: float, margin: float) -> bool:
+    return lam_sub >= lam - margin
 
 
 def check_subgraph_monotonicity(count: int = 200, seed: int = 0) -> CheckResult:
@@ -1008,7 +970,7 @@ def check_subgraph_monotonicity(count: int = 200, seed: int = 0) -> CheckResult:
         lam = spectral_radius(g).lam
         lam_sub = spectral_radius(sub).lam
         min_drop = min(min_drop, lam - lam_sub)
-        if lam_sub >= lam - PROPERTY_MARGIN:
+        if _not_lowered(lam, lam_sub, PROPERTY_MARGIN):
             return CheckResult(
                 "subgraph-monotonicity",
                 params,
@@ -1029,6 +991,16 @@ def check_subgraph_monotonicity(count: int = 200, seed: int = 0) -> CheckResult:
     )
 
 
+def _rotate(g: Graph, u: int, v: int, moved) -> Graph:
+    for w in moved:
+        g = g.without_edge(v, w).with_edge(u, w)
+    return g
+
+
+def _not_raised(lam: float, lam_rot: float, margin: float) -> bool:
+    return lam_rot <= lam + margin
+
+
 def check_edge_rotation(count: int = 200, seed: int = 0) -> CheckResult:
     """Rotating edges from v to a vertex u with Perron entry >= that of v
     strictly raises the spectral radius (margin 1e-10).  Instances are
@@ -1043,7 +1015,8 @@ def check_edge_rotation(count: int = 200, seed: int = 0) -> CheckResult:
     while built < count:
         n = rng.randint(4, 9)
         g = random_connected_graph(rng, n, rng.uniform(0.35, 0.75))
-        x = spectral_radius(g).perron
+        report = spectral_radius(g)
+        x = report.perron
         u, v = rng.sample(range(n), 2)
         if x[v] > x[u]:
             u, v = v, u
@@ -1051,14 +1024,11 @@ def check_edge_rotation(count: int = 200, seed: int = 0) -> CheckResult:
         if not movable:
             continue
         chosen = rng.sample(movable, rng.randint(1, len(movable)))
-        rotated = g
-        for w in chosen:
-            rotated = rotated.without_edge(v, w).with_edge(u, w)
         built += 1
-        lam = spectral_radius(g).lam
-        lam_rot = spectral_radius(rotated).lam
+        lam = report.lam
+        lam_rot = spectral_radius(_rotate(g, u, v, chosen)).lam
         min_gain = min(min_gain, lam_rot - lam)
-        if lam_rot <= lam + PROPERTY_MARGIN:
+        if _not_raised(lam, lam_rot, PROPERTY_MARGIN):
             return CheckResult(
                 "edge-rotation",
                 params,
@@ -1079,6 +1049,24 @@ def check_edge_rotation(count: int = 200, seed: int = 0) -> CheckResult:
         "pass",
         {"instances": built, "min_gain": min_gain},
     )
+
+
+def _candidate_fails(cand: dict, r: int, k: int) -> bool:
+    """An explorer candidate does not stand from its serialized form: the
+    certificate does not recheck, the graph is (r, k)-critical after all,
+    or its radius is not the reported one or falls below the family's."""
+    g = deserialize_graph(cand["graph"])
+    lam = spectral_radius(g).lam
+    return not (
+        recheck_certificate(g, DeficiencyCertificate.from_json(cand["certificate"]), r=r, k=k)
+        and is_rk_critical(g, r, k) is not None
+        and abs(lam - cand["lambda"]) < STRICT_MARGIN
+        and lam >= cand["lambda_family"] - 2 * STRICT_MARGIN
+    )
+
+
+def _candidates_stand(candidates: list[dict], r: int, k: int) -> bool:
+    return not any(_candidate_fails(cand, r, k) for cand in candidates)
 
 
 class _BudgetExhausted(Exception):
@@ -1204,16 +1192,7 @@ def explore_conjecture(r: int, k: int, n: int, budget: int, seed: int = 0) -> Ch
         pass
 
     for cand in candidates:
-        g2 = deserialize_graph(cand["graph"])
-        cert = DeficiencyCertificate.from_json(cand["certificate"])
-        lam2 = spectral_radius(g2).lam
-        revalidates = (
-            recheck_certificate(g2, cert, r=r, k=k)
-            and is_rk_critical(g2, r, k) is not None
-            and abs(lam2 - cand["lambda"]) < STRICT_MARGIN
-            and lam2 >= lam_f - 2 * STRICT_MARGIN
-        )
-        if not revalidates:
+        if _candidate_fails(cand, r, k):
             return CheckResult(
                 "conjecture-explorer",
                 params,
@@ -1253,124 +1232,108 @@ def explore_conjecture(r: int, k: int, n: int, budget: int, seed: int = 0) -> Ch
 # -- counterexample revalidation ------------------------------------------------
 
 
+def _hong_evidence(ce: dict) -> tuple:
+    g = deserialize_graph(ce["graph"])
+    return g, spectral_radius(g).lam, hong_bound(g)
+
+
+def _monotonicity_evidence(ce: dict) -> tuple:
+    g = deserialize_graph(ce["graph"])
+    sub = g
+    for u, v in ce["removed"]:
+        sub = sub.without_edge(u, v)
+    return spectral_radius(g).lam, spectral_radius(sub).lam, ce["margin"]
+
+
+def _rotation_evidence(ce: dict) -> tuple:
+    """An instance that breaks the rotation lemma's hypotheses (x_u < x_v,
+    or a moved vertex that is u, not a neighbor of v, or already adjacent
+    to u) gets an infinite rotated radius, so it never counts."""
+    g = deserialize_graph(ce["graph"])
+    report = spectral_radius(g)
+    u, v, moved = ce["u"], ce["v"], ce["moved"]
+    legal = report.perron[u] >= report.perron[v] and all(
+        w != u and g.has_edge(v, w) and not g.has_edge(u, w) for w in moved
+    )
+    lam_rot = spectral_radius(_rotate(g, u, v, moved)).lam if legal else math.inf
+    return report.lam, lam_rot, ce["margin"]
+
+
+# kind -> (predicate, evidence).  The check that raises a kind decides
+# "fail" by calling its predicate on values it computed itself;
+# evidence recomputes the same values from the serialized counterexample.
+_COUNTEREXAMPLES: dict[str, tuple[Callable[..., bool], Callable[[dict], tuple]]] = {
+    "spectral-out-of-interval": (
+        _outside_interval,
+        lambda ce: (_radius(ce["graph"]), ce["lower"], ce["upper"], ce["margin"]),
+    ),
+    "spectral-not-dominated": (
+        _not_dominated,
+        lambda ce: (_radius(ce["graph"]), _radius(ce["rival"]), ce["margin"]),
+    ),
+    "edge-count-mismatch": (
+        _edge_count_off,
+        lambda ce: (deserialize_graph(ce["graph"]).edge_count, ce["expected"]),
+    ),
+    "certificate-mismatch": (
+        _certificate_off,
+        lambda ce: (
+            _sharpness_certificate(
+                deserialize_graph(ce["graph"]),
+                ce.get("route", "integral"),
+                FactorParams(ce["a"], ce["b"], ce["k"]),
+            ),
+            ce["expected_s_set"],
+            ce["expected_deficiency"],
+        ),
+    ),
+    "perron-system-residual": (
+        _perron_off,
+        lambda ce: (
+            _perron_metrics(deserialize_graph(ce["graph"]), ce["a"], ce["b"], ce["k"], ce["n"]),
+            ce["residual_tol"],
+            ce["ratio_tol"],
+        ),
+    ),
+    "decider-disagreement": (
+        _decider_disagrees,
+        lambda ce: _verdicts(deserialize_graph(ce["graph"]), *_grid_item(ce["item"])),
+    ),
+    "histogram-identity-mismatch": (
+        _histogram_off,
+        lambda ce: (
+            deserialize_graph(ce["graph"]), tuple(ce["s_set"]), _grid_item(ce["item"])[1]
+        ),
+    ),
+    "hong-equality-mismatch": (_hong_off, _hong_evidence),
+    "curve-monotonicity-violation": (
+        _curve_rises,
+        lambda ce: (ce["p"], ce["q"], ce["x_low"], ce["x_high"]),
+    ),
+    "hypothesis-shape-mismatch": (
+        _shape_off,
+        lambda ce: (deserialize_graph(ce["graph"]), ce["expected_min_degree"]),
+    ),
+    "monotonicity-violation": (_not_lowered, _monotonicity_evidence),
+    "rotation-violation": (_not_raised, _rotation_evidence),
+    "candidate-revalidation-failure": (_candidate_fails, lambda ce: (ce, ce["r"], ce["k"])),
+    # attached to passing explorer runs: True iff no candidate fails the
+    # predicate the explorer applies to each one
+    "explorer-candidates": (
+        _candidates_stand,
+        lambda ce: (ce["candidates"], ce["r"], ce["k"]),
+    ),
+}
+
+
 def revalidate_counterexample(ce: dict) -> bool:
     """Confirm a counterexample from its serialization alone: re-derive
     the claimed discrepancy and return True iff it reproduces."""
-    kind = ce["kind"]
-    if kind == "spectral-out-of-interval":
-        g = deserialize_graph(ce["graph"])
-        lam = spectral_radius(g).lam
-        return not (ce["lower"] + ce["margin"] < lam < ce["upper"] - ce["margin"])
-    if kind == "spectral-not-dominated":
-        g = deserialize_graph(ce["graph"])
-        rival = deserialize_graph(ce["rival"])
-        return spectral_radius(rival).lam >= spectral_radius(g).lam - ce["margin"]
-    if kind == "edge-count-mismatch":
-        g = deserialize_graph(ce["graph"])
-        return g.edge_count != ce["expected"]
-    if kind == "certificate-mismatch":
-        g = deserialize_graph(ce["graph"])
-        fparams = FactorParams(ce["a"], ce["b"], ce["k"])
-        s = tuple(ce["expected_s_set"])
-        route = ce.get("route", "integral")
-        if route == "integral":
-            d = integral_deficiency(g, s, fparams)
-        else:
-            d = fractional_deficiency(g, s, fparams)
-        return d != ce["expected_deficiency"]
-    if kind == "decider-disagreement":
-        g = deserialize_graph(ce["graph"])
-        item = tuple(ce["item"])
-        verdict, _ = _decider_verdict(g, item)
-        return verdict != _definition_verdict(g, item)
-    if kind == "histogram-identity-mismatch":
-        g = deserialize_graph(ce["graph"])
-        item = tuple(ce["item"])
-        fparams = FactorParams(item[1], item[2], item[3])
-        s = tuple(ce["s_set"])
-        return integral_deficiency(g, s, fparams) != integral_deficiency_histogram(
-            g, s, fparams
-        )
-    if kind == "hong-equality-mismatch":
-        g = deserialize_graph(ce["graph"])
-        lam = spectral_radius(g).lam
-        bound = hong_bound(g)
-        degs = set(g.degrees())
-        expected = degs <= {min(degs), g.n - 1}
-        return lam > bound + EIG_TOL or expected != (bound - lam < RESIDUAL_TOL)
-    if kind == "curve-monotonicity-violation":
-        lo = hong_bound_formula(ce["x_low"], ce["p"], ce["q"])
-        hi = hong_bound_formula(ce["x_high"], ce["p"], ce["q"])
-        return hi > lo + 1e-12
-    if kind == "hypothesis-shape-mismatch":
-        g = deserialize_graph(ce["graph"])
-        return not g.is_connected() or g.min_degree() != ce["expected_min_degree"]
-    if kind == "perron-system-residual":
-        g = deserialize_graph(ce["graph"])
-        a, b, k, n = ce["a"], ce["b"], ce["k"], ce["n"]
-        fp = ExtremalParams(a, b, k, n)
-        report = spectral_radius(g)
-        lam0, y = report.lam, report.perron
-        u1, w1 = 0, fp.w_start
-        wa, t1, t2 = fp.w_start + (a - 1), fp.t1, fp.t1 + 1
-        res = [
-            abs(lam0 * y[t1] - ((a + k) * y[u1] + (a - 1) * y[w1])),
-            abs(lam0 * y[t2] - (a + k) * y[u1]),
-            abs(
-                lam0 * y[w1]
-                - ((a + k) * y[u1] + (a - 2) * y[w1] + (n - 2 * a - b - k) * y[wa] + y[t1])
-            ),
-            abs(
-                lam0 * y[wa]
-                - ((a + k) * y[u1] + (a - 1) * y[w1] + (n - 2 * a - b - k - 1) * y[wa])
-            ),
-        ]
-        g_val = perron_ratio_cubic(a, b, k, n, lam0)
-        if any(v >= ce["residual_tol"] for v in res) or not g_val > 0.0:
-            return True
-        rhs = lam0 * (lam0 + 1.0) * (lam0 - (n - 2 * a - b - k - 1)) / g_val
-        return abs(y[t1] / y[t2] - rhs) / abs(rhs) >= ce["ratio_tol"]
-    if kind == "monotonicity-violation":
-        g = deserialize_graph(ce["graph"])
-        sub = g
-        for u, v in ce["removed"]:
-            sub = sub.without_edge(u, v)
-        return spectral_radius(sub).lam >= spectral_radius(g).lam - ce["margin"]
-    if kind == "rotation-violation":
-        g = deserialize_graph(ce["graph"])
-        x = spectral_radius(g).perron
-        u, v = ce["u"], ce["v"]
-        if x[u] < x[v]:
-            return False
-        rotated = g
-        for w in ce["moved"]:
-            if w == u or not g.has_edge(v, w) or g.has_edge(u, w):
-                return False
-            rotated = rotated.without_edge(v, w).with_edge(u, w)
-        return spectral_radius(rotated).lam <= spectral_radius(g).lam + ce["margin"]
-    if kind == "candidate-revalidation-failure":
-        g = deserialize_graph(ce["graph"])
-        cert = DeficiencyCertificate.from_json(ce["certificate"])
-        valid = (
-            recheck_certificate(g, cert, r=ce["r"], k=ce["k"])
-            and is_rk_critical(g, ce["r"], ce["k"]) is not None
-            and abs(spectral_radius(g).lam - ce["lambda"]) < STRICT_MARGIN
-        )
-        return not valid
-    if kind == "explorer-candidates":
-        # Attached to passing explorer runs: True iff every reported
-        # candidate's certificate and radius re-validate.
-        for cand in ce["candidates"]:
-            g = deserialize_graph(cand["graph"])
-            cert = DeficiencyCertificate.from_json(cand["certificate"])
-            if not recheck_certificate(g, cert, r=ce["r"], k=ce["k"]):
-                return False
-            if is_rk_critical(g, ce["r"], ce["k"]) is None:
-                return False
-            if abs(spectral_radius(g).lam - cand["lambda"]) >= STRICT_MARGIN:
-                return False
-        return True
-    raise ValueError(f"unknown counterexample kind {kind!r}")
+    try:
+        predicate, evidence = _COUNTEREXAMPLES[ce["kind"]]
+    except KeyError:
+        raise ValueError(f"unknown counterexample kind {ce['kind']!r}") from None
+    return predicate(*evidence(ce))
 
 
 # -- battery --------------------------------------------------------------------

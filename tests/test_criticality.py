@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -125,6 +126,7 @@ class TestDeficiencies:
             assert integral_deficiency(g, s, params) == integral_deficiency_histogram(
                 g, s, params
             )
+            assert fractional_deficiency(g, s, params) == integral_deficiency(g, s, params)
 
     def test_requires_b_gt_a(self):
         with pytest.raises(ValueError):
@@ -203,6 +205,20 @@ class TestIntegralDecider:
     def test_cap(self):
         with pytest.raises(ValueError):
             is_abk_critical(complete_graph(21), P120)
+
+    def test_sweep_memory_stays_bounded(self):
+        # the sweep enumerates deletion sets lazily: 2^16 of them must fit
+        # in well under 1 MB, and nothing may outlive the call
+        g = complete_graph(16)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert is_abk_critical(g, P121) is None
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 1 << 20
+        assert after - before < 1 << 12
 
     def test_matches_definition_small(self):
         for g in enumerate_graphs(4, connected_only=True):

@@ -522,6 +522,25 @@ def test_revalidate_explorer_kinds():
     )
 
 
+def test_revalidate_explorer_kinds_enforce_family_radius():
+    # a candidate whose radius is far below the family's cannot stand:
+    # the explorer itself rejects it, so both kinds must agree
+    g = complete_bipartite(1, 3)
+    cert = is_rk_critical(g, 2, 0)
+    cand = {
+        "graph": serialize_graph(g),
+        "lambda": spectral_radius(g).lam,
+        "lambda_family": 100.0,
+        "certificate": cert.to_json(),
+    }
+    assert not revalidate_counterexample(
+        {"kind": "explorer-candidates", "r": 2, "k": 0, "candidates": [cand]}
+    )
+    assert revalidate_counterexample(
+        {"kind": "candidate-revalidation-failure", "r": 2, "k": 0, **cand}
+    )
+
+
 def test_revalidate_hong_kind():
     # K_3 + K_2 attains the bound (radius 2) although its degrees {1, 2}
     # are neither regular nor in {delta, n-1}
