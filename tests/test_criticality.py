@@ -338,6 +338,26 @@ class TestCertificates:
         )
         assert not recheck_certificate(complete_bipartite(1, 3), forged, params=P120)
 
+        parity = is_rk_critical(complete_bipartite(1, 3), 2, 0)
+        raised = DeficiencyCertificate(
+            kind=parity.kind,
+            s_set=parity.s_set,
+            t_set=parity.t_set,
+            deficiency=parity.deficiency + 1,
+        )
+        assert recheck_certificate(complete_bipartite(1, 3), parity, r=2, k=0)
+        assert not recheck_certificate(complete_bipartite(1, 3), raised, r=2, k=0)
+
+        frac = is_fractional_abk_critical(complete_bipartite(1, 3), P120)
+        dropped = DeficiencyCertificate(
+            kind=frac.kind,
+            s_set=frac.s_set,
+            t_set=frac.t_set[1:],
+            deficiency=frac.deficiency,
+        )
+        assert recheck_certificate(complete_bipartite(1, 3), frac, params=P120)
+        assert not recheck_certificate(complete_bipartite(1, 3), dropped, params=P120)
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             DeficiencyCertificate.from_json(
