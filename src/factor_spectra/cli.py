@@ -31,7 +31,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
-from .criticality import FactorParams, decide
+from .criticality import decide, route_params
 from .factors import find_ab_factor, find_fractional_factor
 from .families import (
     ExtremalParams,
@@ -223,14 +223,9 @@ def _cmd_hong(args) -> int:
     return 0
 
 
-def _cmd_decide(args, route: str) -> int:
+def _cmd_decide(args, route: str, flags: tuple[str, ...] = ("a", "b", "k")) -> int:
     graphs = _load_corpus(args)
-    if route == "parity":
-        if args.r < 2:  # before FactorParams, whose message speaks of a
-            raise ValueError(f"parity characterization needs r >= 2, got r={args.r}")
-        params = FactorParams(args.r, args.r, args.k)
-    else:
-        params = FactorParams(args.a, args.b, args.k)
+    params = route_params(route, *(getattr(args, f) for f in flags))
     fn = partial(decide, route=route, params=params)
     records = [
         {"critical": cert is None, "certificate": None if cert is None else cert.to_json()}
@@ -388,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flag(p)
     p.add_argument("--expect-critical", action="store_true",
                    help="exit 1 if any input graph is not critical")
-    p.set_defaults(handler=partial(_cmd_decide, route="parity"))
+    p.set_defaults(handler=partial(_cmd_decide, route="parity", flags=("r", "k")))
 
     p = sub.add_parser("factor", help="find an explicit [a, b]-factor of each input graph")
     p.add_argument("--a", type=int, required=True, help="lower degree bound a >= 0")

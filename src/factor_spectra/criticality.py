@@ -24,7 +24,10 @@ Deciders sweep candidate sets in increasing size, then lexicographic
 order, and return the first violating set as a DeficiencyCertificate
 (deficiency = the amount by which the inequality fails; violating iff
 > 0), so certificates are deterministic and minimal in that order.  A
-returned None means critical.  `decide` dispatches on the route name.
+returned None means critical.  Callers pass a route name ("integral",
+"fractional" or "parity") through and never branch on it: `route_params`,
+`certificate_at`, `decide` and `recheck_certificate` own each route's
+parameter shape, deficiency, T threshold and sweep.
 `critical_by_definition` is the independent brute-force route used to
 cross-validate the deciders.
 """
@@ -140,12 +143,43 @@ def low_degree_set(g: Graph, s_set, max_degree: int) -> tuple[int, ...]:
 # -- deficiencies --------------------------------------------------------------
 
 
+def _integral_guard(params: FactorParams) -> None:
+    if params.b <= params.a:
+        raise ValueError(
+            "integral characterization needs b > a; for a == b == r use is_rk_critical"
+        )
+
+
+def _parity_r(params: FactorParams) -> int:
+    """r of parity-route params FactorParams(r, r, k)."""
+    if params.a != params.b:
+        raise ValueError(f"the parity route needs a == b == r, got a={params.a}, b={params.b}")
+    return params.a
+
+
+def route_params(route: str, *nums: int) -> FactorParams:
+    """FactorParams for a route: (a, b, k) for "integral" (b > a) and
+    "fractional", (r, k) for "parity" (r >= 2) as FactorParams(r, r, k).
+    Raises ValueError for a shape the route cannot decide."""
+    if route == "parity":
+        r, k = nums
+        if r < 2:
+            raise ValueError(f"parity characterization needs r >= 2, got r={r}")
+        return FactorParams(r, r, k)
+    a, b, k = nums
+    params = FactorParams(a, b, k)
+    if route == "integral":
+        _integral_guard(params)
+    elif route != "fractional":
+        raise ValueError(f"unknown route {route!r}")
+    return params
+
+
 def integral_deficiency(g: Graph, s_set, params: FactorParams) -> int:
     """a|T| - sum_T d_{G-S} - b|S| + bk with T at threshold a-1.
     Positive iff S witnesses that G is not (a, b, k)-critical.  Equal to
     fractional_deficiency: vertices of degree a add a - a = 0 to it."""
-    if params.b <= params.a:
-        raise ValueError("integral deficiency needs b > a; for a == b use the parity route")
+    _integral_guard(params)
     return fractional_deficiency(g, s_set, params)
 
 
@@ -166,9 +200,8 @@ def integral_deficiency_histogram(g: Graph, s_set, params: FactorParams) -> int:
     """The same deficiency computed from the degree histogram of G - S:
     sum_{j=0}^{a-1} (a - j) p_j - b|S| + bk where p_j counts vertices of
     degree exactly j in G - S."""
+    _integral_guard(params)
     a, b, k = params.a, params.b, params.k
-    if b <= a:
-        raise ValueError("integral deficiency needs b > a; for a == b use the parity route")
     s_mask, s_size = _deletion_mask(g, s_set, k)
     keep = ~s_mask
     hist = [0] * a
@@ -242,6 +275,26 @@ def parity_deficiency(g: Graph, x_set, y_set, r: int, k: int) -> int:
     )
 
 
+def certificate_at(
+    g: Graph, route: str, params: FactorParams, s_set, y_set=()
+) -> DeficiencyCertificate:
+    """The route's certificate at one set, violating or not.  "integral"
+    and "fractional": S = s_set with T at threshold a-1 and a
+    respectively.  "parity": X = s_set and Y = y_set, with
+    params = FactorParams(r, r, k)."""
+    s_set = tuple(s_set)
+    if route == "parity":
+        d = parity_deficiency(g, s_set, y_set, _parity_r(params), params.k)
+        return DeficiencyCertificate(route, s_set, tuple(y_set), d)
+    if route == "integral":
+        d, threshold = integral_deficiency(g, s_set, params), params.a - 1
+    elif route == "fractional":
+        d, threshold = fractional_deficiency(g, s_set, params), params.a
+    else:
+        raise ValueError(f"unknown route {route!r}")
+    return DeficiencyCertificate(route, s_set, low_degree_set(g, s_set, threshold), d)
+
+
 # -- deciders -------------------------------------------------------------------
 
 
@@ -263,11 +316,9 @@ def _subsets_by_size(n: int, min_size: int):
             yield sum(combo), size
 
 
-def _sweep(
-    g: Graph, params: FactorParams, kind: str, t_threshold: int
-) -> DeficiencyCertificate | None:
+def _sweep(g: Graph, route: str, params: FactorParams) -> DeficiencyCertificate | None:
     """The first S with |S| >= k (by size, then lex) of positive
-    deficiency, as a certificate listing T at t_threshold; None if none."""
+    deficiency, as the route's certificate; None if none."""
     a, b, k = params.a, params.b, params.k
     if g.n < a + k + 1:
         raise ValueError(f"need n >= a + k + 1 = {a + k + 1}, got n={g.n}")
@@ -275,10 +326,8 @@ def _sweep(
         raise ValueError(f"n={g.n} exceeds the sweep cap {SUBSET_SWEEP_CAP}")
     pairs = _pairs(g)
     for s_mask, s_size in _subsets_by_size(g.n, k):
-        d = _deficiency(pairs, s_mask, s_size, a, b, k)
-        if d > 0:
-            s_set = _vertices(s_mask)
-            return DeficiencyCertificate(kind, s_set, low_degree_set(g, s_set, t_threshold), d)
+        if _deficiency(pairs, s_mask, s_size, a, b, k) > 0:
+            return certificate_at(g, route, params, _vertices(s_mask))
     return None
 
 
@@ -286,11 +335,8 @@ def is_abk_critical(g: Graph, params: FactorParams) -> DeficiencyCertificate | N
     """None iff G is (a, b, k)-critical; else the first violating S (by
     size, then lex) as an integral certificate.  Needs b > a and
     n >= a + k + 1; every S with |S| >= k is enumerated, so n is capped."""
-    if params.a == params.b:
-        raise ValueError(
-            "integral characterization needs b > a; for a == b == r use is_rk_critical"
-        )
-    return _sweep(g, params, "integral", params.a - 1)
+    _integral_guard(params)
+    return _sweep(g, "integral", params)
 
 
 def is_fractional_abk_critical(
@@ -298,7 +344,7 @@ def is_fractional_abk_critical(
 ) -> DeficiencyCertificate | None:
     """None iff G is fractionally (a, b, k)-critical; else the first
     violating S as a fractional certificate.  Allows a == b."""
-    return _sweep(g, params, "fractional", params.a)
+    return _sweep(g, "fractional", params)
 
 
 def is_rk_critical(g: Graph, r: int, k: int) -> DeficiencyCertificate | None:
@@ -312,10 +358,7 @@ def is_rk_critical(g: Graph, r: int, k: int) -> DeficiencyCertificate | None:
     a nonnegative lower bound on the surplus rules out every Y of that
     size.  Exactness and first-violation order are unaffected.
     """
-    if r < 2:
-        raise ValueError(f"parity characterization needs r >= 2, got r={r}")
-    if k < 0:
-        raise ValueError(f"need k >= 0, got k={k}")
+    params = route_params("parity", r, k)
     if g.n < r + k + 1:
         raise ValueError(f"need n >= r + k + 1 = {r + k + 1}, got n={g.n}")
     if g.n > PAIR_SWEEP_CAP:
@@ -343,12 +386,7 @@ def is_rk_critical(g: Graph, r: int, k: int) -> DeficiencyCertificate | None:
                 h = _count_odd_components_mask(adj, n, x_mask, y_mask, r)
                 surplus = base + deg_sum - r * l - h
                 if surplus < 0:
-                    return DeficiencyCertificate(
-                        kind="parity",
-                        s_set=_vertices(x_mask),
-                        t_set=y_combo,
-                        deficiency=-surplus,
-                    )
+                    return certificate_at(g, "parity", params, _vertices(x_mask), y_combo)
     return None
 
 
@@ -361,9 +399,7 @@ def decide(g: Graph, route: str, params: FactorParams) -> DeficiencyCertificate 
     if route == "fractional":
         return is_fractional_abk_critical(g, params)
     if route == "parity":
-        if params.a != params.b:
-            raise ValueError(f"the parity route needs a == b == r, got a={params.a}, b={params.b}")
-        return is_rk_critical(g, params.a, params.k)
+        return is_rk_critical(g, _parity_r(params), params.k)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -373,43 +409,23 @@ def decide(g: Graph, route: str, params: FactorParams) -> DeficiencyCertificate 
 def critical_by_definition(g: Graph, params: FactorParams, mode: str) -> bool:
     """Brute force straight from the definition: try every deletion set K
     of size exactly k and ask the witness oracle for an [a, b]-factor
-    (mode "integral") or fractional one (mode "fractional") of G - K.
-    Independent of the deficiency machinery."""
-    if mode not in ("integral", "fractional"):
-        raise ValueError(f"mode must be integral or fractional, got {mode!r}")
-    oracle = find_ab_factor if mode == "integral" else find_fractional_factor
+    (mode "integral"), an [r, r]-factor (mode "parity", with
+    params = FactorParams(r, r, k)) or a fractional [a, b]-factor (mode
+    "fractional") of G - K.  Independent of the deficiency machinery."""
+    if mode == "parity":
+        _parity_r(params)
+    elif mode not in ("integral", "fractional"):
+        raise ValueError(f"mode must be integral, fractional or parity, got {mode!r}")
+    oracle = find_fractional_factor if mode == "fractional" else find_ab_factor
     for kill in itertools.combinations(range(g.n), params.k):
         if oracle(g.delete_vertices(kill), params.a, params.b) is None:
             return False
     return True
 
 
-def recheck_certificate(
-    g: Graph,
-    cert: DeficiencyCertificate,
-    *,
-    params: FactorParams | None = None,
-    r: int | None = None,
-    k: int | None = None,
-) -> bool:
-    """True iff re-evaluating the certificate's deficiency from scratch
-    reproduces the stored value and it is violating.  Integral/fractional
-    certificates need params; parity ones need r and k."""
-    if cert.kind == "integral":
-        if params is None:
-            raise ValueError("integral certificate needs params")
-        value = integral_deficiency(g, cert.s_set, params)
-        t_ok = cert.t_set == low_degree_set(g, cert.s_set, params.a - 1)
-    elif cert.kind == "fractional":
-        if params is None:
-            raise ValueError("fractional certificate needs params")
-        value = fractional_deficiency(g, cert.s_set, params)
-        t_ok = cert.t_set == low_degree_set(g, cert.s_set, params.a)
-    elif cert.kind == "parity":
-        if r is None or k is None:
-            raise ValueError("parity certificate needs r and k")
-        value = parity_deficiency(g, cert.s_set, cert.t_set, r, k)
-        t_ok = True
-    else:
-        raise ValueError(f"unknown certificate kind {cert.kind!r}")
-    return t_ok and value == cert.deficiency and cert.violating
+def recheck_certificate(g: Graph, cert: DeficiencyCertificate, params: FactorParams) -> bool:
+    """True iff the certificate's route, re-evaluated from scratch at its
+    sets, gives back the same certificate and it is violating.  Parity
+    certificates take params = FactorParams(r, r, k), as decide does."""
+    y_set = cert.t_set if cert.kind == "parity" else ()
+    return certificate_at(g, cert.kind, params, cert.s_set, y_set) == cert and cert.violating

@@ -57,45 +57,32 @@ class FactorWitness:
 
 def validate_witness(g: Graph, witness: FactorWitness, a: int, b: int) -> None:
     """Raise ValueError unless the witness is a genuine fractional or
-    integral [a, b]-factor of g.  All arithmetic exact."""
+    integral [a, b]-factor of g.  All arithmetic exact: integral edges
+    weigh the int 1, so integral witnesses never touch Fraction."""
     if witness.kind == "integral":
-        deg = [0] * g.n
-        seen = set()
-        for u, v in witness.edges:
-            if not g.has_edge(u, v):
-                raise ValueError(f"witness edge ({u},{v}) not in the graph")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"witness repeats edge ({u},{v})")
-            seen.add(key)
-            deg[u] += 1
-            deg[v] += 1
-        if tuple(deg) != tuple(witness.degrees):
-            raise ValueError("witness degrees do not match its edge set")
-        for v in range(g.n):
-            if not a <= deg[v] <= b:
-                raise ValueError(f"vertex {v} has witness degree {deg[v]} not in [{a},{b}]")
+        weighted = ((u, v, 1) for u, v in witness.edges)
     elif witness.kind == "fractional":
-        deg = [Fraction(0)] * g.n
-        seen = set()
-        for u, v, w in witness.weights:
-            if not g.has_edge(u, v):
-                raise ValueError(f"witness edge ({u},{v}) not in the graph")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"witness repeats edge ({u},{v})")
-            seen.add(key)
-            if not 0 < w <= 1:
-                raise ValueError(f"weight {w} on ({u},{v}) outside (0, 1]")
-            deg[u] += w
-            deg[v] += w
-        if tuple(deg) != tuple(witness.degrees):
-            raise ValueError("witness degrees do not match its weights")
-        for v in range(g.n):
-            if not a <= deg[v] <= b:
-                raise ValueError(f"vertex {v} has witness degree {deg[v]} not in [{a},{b}]")
+        weighted = witness.weights
     else:
         raise ValueError(f"unknown witness kind {witness.kind!r}")
+    deg = [0] * g.n
+    seen = set()
+    for u, v, w in weighted:
+        if not g.has_edge(u, v):
+            raise ValueError(f"witness edge ({u},{v}) not in the graph")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValueError(f"witness repeats edge ({u},{v})")
+        seen.add(key)
+        if not 0 < w <= 1:
+            raise ValueError(f"weight {w} on ({u},{v}) outside (0, 1]")
+        deg[u] += w
+        deg[v] += w
+    if tuple(deg) != tuple(witness.degrees):
+        raise ValueError("witness degrees do not match its edges")
+    for v in range(g.n):
+        if not a <= deg[v] <= b:
+            raise ValueError(f"vertex {v} has witness degree {deg[v]} not in [{a},{b}]")
 
 
 # -- integral oracle -----------------------------------------------------------

@@ -56,16 +56,17 @@ from math import comb
 from typing import Callable, Iterable
 
 from .criticality import (
+    PAIR_SWEEP_CAP,
     DeficiencyCertificate,
     FactorParams,
+    certificate_at,
     critical_by_definition,
     decide,
-    fractional_deficiency,
     integral_deficiency,
     integral_deficiency_histogram,
     is_rk_critical,
-    low_degree_set,
     recheck_certificate,
+    route_params,
 )
 from .families import (
     ExtremalParams,
@@ -94,7 +95,6 @@ BRACKET_MARGIN = 1e-8
 FAMILY_CLASS_CAP = 64
 DECIDER_N_CAP = 18
 HISTOGRAM_IDENTITY_N_CAP = 5
-EXPLORER_N_CAP = 12
 
 SHARPNESS_TARGETS = (
     "spectral-integral",
@@ -165,6 +165,12 @@ def maximality_min_n(a: int, b: int, k: int) -> int:
 def size_min_n(a: int, b: int, k: int) -> int:
     """Smallest n with n >= 4a + 5b/2 + 4k + 7."""
     return 4 * a + 4 * k + 7 + (5 * b + 1) // 2
+
+
+def size_threshold(a: int, b: int, k: int, n: int) -> int:
+    """The edge count C(n-b-1, 2) + ab + 2a + (b+1)k of the size
+    criticality condition."""
+    return comb(n - b - 1, 2) + a * b + 2 * a + (b + 1) * k
 
 
 def spectral_min_n(a: int, b: int, k: int) -> int:
@@ -444,14 +450,8 @@ def _sharpness_certificate(
     when it violates."""
     if g.n <= DECIDER_N_CAP:
         return decide(g, route, params)
-    s_block = tuple(range(params.a + params.k))
-    if route == "integral":
-        d, threshold = integral_deficiency(g, s_block, params), params.a - 1
-    else:
-        d, threshold = fractional_deficiency(g, s_block, params), params.a
-    if d <= 0:
-        return None
-    return DeficiencyCertificate(route, s_block, low_degree_set(g, s_block, threshold), d)
+    cert = certificate_at(g, route, params, range(params.a + params.k))
+    return cert if cert.violating else None
 
 
 def _certificate_off(
@@ -470,16 +470,14 @@ def check_edge_count_sharpness(a: int, b: int, k: int, n: int) -> CheckResult:
     block S = {0..a+k-1} violates with deficiency exactly 1.  Uses the
     full subset-sweep decider when n is small enough, the fixed
     certificate route otherwise."""
-    factor_params = FactorParams(a, b, k)
-    if b <= a:
-        raise ValueError(f"integral criticality needs b > a, got a={a}, b={b}")
+    factor_params = route_params("integral", a, b, k)
     params = {"a": a, "b": b, "k": k, "n": n}
     need = size_min_n(a, b, k)
     if n < need:
         return _not_met("edge-count-sharpness", params, need, "size threshold claim")
     fp = ExtremalParams(a, b, k, n)
     g = extremal_graph(fp)
-    bound = comb(n - b - 1, 2) + a * b + 2 * a + (b + 1) * k
+    bound = size_threshold(a, b, k, n)
     actual = g.edge_count
     formula = extremal_edge_count(fp)
     for expected in (bound - 1, formula):
@@ -627,30 +625,11 @@ def check_perron_system(a: int, b: int, k: int, n: int) -> CheckResult:
     return CheckResult("perron-system", params, "pass", metrics)
 
 
-def _grid_item(item) -> tuple[str, FactorParams]:
-    """Grid items ("integral", a, b, k), ("fractional", a, b, k) and
-    ("parity", r, k) as a decide() route and its parameters."""
-    route, *nums = item
-    if route == "parity":
-        r, k = nums
-        if r < 2:
-            raise ValueError("parity grid items need r >= 2")
-        return route, FactorParams(r, r, k)
-    if route not in ("integral", "fractional"):
-        raise ValueError(f"unknown grid mode {route!r}")
-    a, b, k = nums
-    if route == "integral" and b <= a:
-        raise ValueError("integral grid items need b > a")
-    return route, FactorParams(a, b, k)
-
-
 def _verdicts(
     g: Graph, route: str, params: FactorParams
 ) -> tuple[DeficiencyCertificate | None, bool]:
-    """The sweep's certificate and the definitional verdict; the parity
-    route asks the definition for integral [r, r]-factors."""
-    mode = "fractional" if route == "fractional" else "integral"
-    return decide(g, route, params), critical_by_definition(g, params, mode)
+    """The sweep's certificate and the definitional verdict."""
+    return decide(g, route, params), critical_by_definition(g, params, route)
 
 
 def _decider_disagrees(cert: DeficiencyCertificate | None, definition: bool) -> bool:
@@ -671,7 +650,7 @@ def cross_validate_deciders(n_max: int, param_grid: Iterable) -> CheckResult:
     pair for the integral grid items, on the n <= 5 sub-corpus."""
     if not 1 <= n_max <= 7:
         raise ValueError(f"exhaustive cross-validation needs 1 <= n_max <= 7, got {n_max}")
-    grid = [(tuple(item), *_grid_item(item)) for item in param_grid]
+    grid = [((route, *nums), route, route_params(route, *nums)) for route, *nums in param_grid]
     if not grid:
         raise ValueError("empty parameter grid")
     params = {"n_max": n_max, "grid": [list(item) for item, _, _ in grid]}
@@ -849,12 +828,12 @@ def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
 
     The non-criticality witness is the joined clique block with
     deficiency exactly 1, re-checked from the deficiency definition."""
-    fparams = FactorParams(a, b, k)
     if target not in SHARPNESS_TARGETS:
         raise ValueError(f"unknown sharpness target {target!r}")
-    if target in ("spectral-integral", "size-integral", "spectral-fractional"):
-        if b <= a:
-            raise ValueError(f"target {target} needs b > a, got a={a}, b={b}")
+    kind = "integral" if target in ("spectral-integral", "size-integral") else "fractional"
+    fparams = route_params(kind, a, b, k)
+    if target == "spectral-fractional" and b <= a:
+        raise ValueError(f"target {target} needs b > a, got a={a}, b={b}")
     if target == "spectral-fractional-rr" and a != b:
         raise ValueError(f"target {target} needs a == b, got a={a}, b={b}")
     if target == "spectral-fractional-rr":
@@ -882,7 +861,7 @@ def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
             },
         )
     if target == "size-integral":
-        bound = comb(n - b - 1, 2) + a * b + 2 * a + (b + 1) * k
+        bound = size_threshold(a, b, k, n)
         metrics["edge_count"] = g.edge_count
         metrics["threshold"] = bound
         if _edge_count_off(g.edge_count, bound - 1):
@@ -897,10 +876,8 @@ def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
                     "expected": bound - 1,
                 },
             )
-    kind = "integral" if target in ("spectral-integral", "size-integral") else "fractional"
     s_block = tuple(range(a + k))
-    deficiency = integral_deficiency if kind == "integral" else fractional_deficiency
-    metrics["block_deficiency"] = deficiency(g, s_block, fparams)
+    metrics["block_deficiency"] = certificate_at(g, kind, fparams, s_block).deficiency
     cert = _sharpness_certificate(g, kind, fparams)
     if _certificate_off(cert, s_block, 1):
         return CheckResult(
@@ -1058,7 +1035,9 @@ def _candidate_fails(cand: dict, r: int, k: int) -> bool:
     g = deserialize_graph(cand["graph"])
     lam = spectral_radius(g).lam
     return not (
-        recheck_certificate(g, DeficiencyCertificate.from_json(cand["certificate"]), r=r, k=k)
+        recheck_certificate(
+            g, DeficiencyCertificate.from_json(cand["certificate"]), route_params("parity", r, k)
+        )
         and is_rk_critical(g, r, k) is not None
         and abs(lam - cand["lambda"]) < STRICT_MARGIN
         and lam >= cand["lambda_family"] - 2 * STRICT_MARGIN
@@ -1089,12 +1068,9 @@ def explore_conjecture(r: int, k: int, n: int, budget: int, seed: int = 0) -> Ch
     The search order n is far below the order bound 2(2r+k+2)(r+k+2) of
     the criticality condition this search probes, so candidates found
     here do not contradict it, and finding none is evidence, not proof."""
-    if r < 2:
-        raise ValueError(f"the parity decider needs r >= 2, got r={r}")
-    if k < 0:
-        raise ValueError(f"need k >= 0, got k={k}")
-    if n > EXPLORER_N_CAP:
-        raise ValueError(f"exact criticality checks cap the order at {EXPLORER_N_CAP}")
+    route_params("parity", r, k)
+    if n > PAIR_SWEEP_CAP:
+        raise ValueError(f"exact criticality checks cap the order at {PAIR_SWEEP_CAP}")
     if budget < 1:
         raise ValueError("need budget >= 1")
     fp = ExtremalParams(r, r, k, n)
@@ -1297,12 +1273,14 @@ _COUNTEREXAMPLES: dict[str, tuple[Callable[..., bool], Callable[[dict], tuple]]]
     ),
     "decider-disagreement": (
         _decider_disagrees,
-        lambda ce: _verdicts(deserialize_graph(ce["graph"]), *_grid_item(ce["item"])),
+        lambda ce: _verdicts(
+            deserialize_graph(ce["graph"]), ce["item"][0], route_params(*ce["item"])
+        ),
     ),
     "histogram-identity-mismatch": (
         _histogram_off,
         lambda ce: (
-            deserialize_graph(ce["graph"]), tuple(ce["s_set"]), _grid_item(ce["item"])[1]
+            deserialize_graph(ce["graph"]), tuple(ce["s_set"]), route_params(*ce["item"])
         ),
     ),
     "hong-equality-mismatch": (_hong_off, _hong_evidence),

@@ -246,14 +246,15 @@ def test_rk_verb_agrees_with_fractional(capsys, monkeypatch):
 
 
 def test_decide_b_equal_a_is_usage_error(capsys, monkeypatch):
-    code, _, err = run_cli(
-        ["decide", "--a", "2", "--b", "2", "--k", "0"],
-        capsys,
-        stdin=C4 + "\n",
-        monkeypatch=monkeypatch,
-    )
-    assert code == 2
-    assert "error:" in err
+    for stdin in (C4 + "\n", ""):
+        code, _, err = run_cli(
+            ["decide", "--a", "2", "--b", "2", "--k", "0"],
+            capsys,
+            stdin=stdin,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2
+        assert "error:" in err
 
 
 # -- factor ------------------------------------------------------------------------

@@ -277,7 +277,7 @@ class TestParityDecider:
     def test_star_not_critical(self):
         cert = is_rk_critical(complete_bipartite(1, 3), 2, 0)
         assert cert is not None and cert.kind == "parity"
-        assert recheck_certificate(complete_bipartite(1, 3), cert, r=2, k=0)
+        assert recheck_certificate(complete_bipartite(1, 3), cert, FactorParams(2, 2, 0))
 
     def test_path_certificate_value(self):
         # first violation for P_3 is X = (), Y = (0): the rest is one
@@ -345,8 +345,8 @@ class TestCertificates:
             t_set=parity.t_set,
             deficiency=parity.deficiency + 1,
         )
-        assert recheck_certificate(complete_bipartite(1, 3), parity, r=2, k=0)
-        assert not recheck_certificate(complete_bipartite(1, 3), raised, r=2, k=0)
+        assert recheck_certificate(complete_bipartite(1, 3), parity, FactorParams(2, 2, 0))
+        assert not recheck_certificate(complete_bipartite(1, 3), raised, FactorParams(2, 2, 0))
 
         frac = is_fractional_abk_critical(complete_bipartite(1, 3), P120)
         dropped = DeficiencyCertificate(
