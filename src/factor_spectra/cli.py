@@ -68,15 +68,18 @@ def _resolve_parallel(args) -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            raise SystemExit(f"FACTOR_SPECTRA_THREADS must be an integer, got {env!r}")
+            raise ValueError(f"FACTOR_SPECTRA_THREADS must be an integer, got {env!r}") from None
     return 1
 
 
-def _map_records(fn, graphs: list[Graph], workers: int) -> list:
-    if workers <= 1 or len(graphs) <= 1:
-        return [fn(g) for g in graphs]
+def _map_records(fn, items: list, workers: int):
+    """fn over items, yielded in input order as each result is ready;
+    a process pool runs them when there is more than one worker."""
+    if workers <= 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, graphs, chunksize=max(1, len(graphs) // (4 * workers))))
+        yield from ex.map(fn, items, chunksize=max(1, len(items) // (4 * workers)))
 
 
 # -- per-graph workers (module level so they pickle for process pools) ------------
@@ -258,18 +261,11 @@ def _cmd_factor(args) -> int:
 
 def _cmd_verify(args) -> int:
     plan = battery_plan(args.level, seed=args.seed)
-    workers = _resolve_parallel(args)
     start = time.monotonic()
-    if workers <= 1:
-        results = [_run_planned(item) for item in plan]
-        for rec in results:
-            print(json.dumps(rec))
-    else:
-        results = []
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            for rec in ex.map(_run_planned, plan, chunksize=1):
-                results.append(rec)
-                print(json.dumps(rec))
+    results = []
+    for rec in _map_records(_run_planned, plan, _resolve_parallel(args)):
+        results.append(rec)
+        print(json.dumps(rec))
     elapsed = time.monotonic() - start
     width = max(len(r["check_id"]) for r in results)
     for rec in results:

@@ -146,7 +146,8 @@ def low_degree_set(g: Graph, s_set, max_degree: int) -> tuple[int, ...]:
 def _integral_guard(params: FactorParams) -> None:
     if params.b <= params.a:
         raise ValueError(
-            "integral characterization needs b > a; for a == b == r use is_rk_critical"
+            "integral characterization needs b > a; for a == b == r use the parity "
+            "route (is_rk_critical, or the rk verb)"
         )
 
 

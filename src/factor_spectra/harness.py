@@ -15,10 +15,12 @@ Facts covered:
 * family maximality: once n >= (4a + 2b + ab + (b+2)k)/2 + 2, the
   distinguished member (all a-1 bridge edges on one independent vertex)
   strictly maximizes the radius over the family's degree classes.
-* edge-count sharpness: the distinguished member has exactly
-  C(n-b-1, 2) + ab + 2a + (b+1)k - 1 edges, one short of the size
-  threshold, and is not (a, b, k)-critical; the deleted-clique block
-  S = {0, ..., a+k-1} is a violating set of deficiency exactly 1.
+* edge-count sharpness: the distinguished member is connected with
+  minimum degree exactly a+k, has exactly C(n-b-1, 2) + ab + 2a +
+  (b+1)k - 1 edges, one short of the size threshold, and is not
+  (a, b, k)-critical; the deleted-clique block S = {0, ..., a+k-1} is a
+  violating set of deficiency exactly 1.  This is the one check of the
+  size condition's sharpness.
 * Perron system: on the distinguished member the Perron vector is
   constant on five structural classes and satisfies four explicit linear
   identities, plus a cubic-rational ratio identity between the entry of
@@ -31,8 +33,8 @@ Facts covered:
   sqrt(2e - n*delta + (delta+1)^2/4) with equality exactly on regular
   and {delta, n-1}-bidegreed graphs, plus monotonicity of the bound
   curve in the minimum-degree argument.
-* sharpness targets: at the minimal order each spectral or edge-count
-  guarantee allows, the extremal graph meets every hypothesis with
+* sharpness targets: at the minimal order each of the four spectral
+  guarantees allows, the extremal graph meets every hypothesis with
   equality and still fails to be critical, so the excluded-graph clause
   is non-vacuous.
 * spectral perturbation suites: deleting edges strictly lowers the
@@ -52,11 +54,11 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from math import comb
 from typing import Callable, Iterable
 
 from .criticality import (
     PAIR_SWEEP_CAP,
+    SUBSET_SWEEP_CAP,
     DeficiencyCertificate,
     FactorParams,
     certificate_at,
@@ -93,12 +95,10 @@ STRICT_MARGIN = 1e-9
 PROPERTY_MARGIN = 1e-10
 BRACKET_MARGIN = 1e-8
 FAMILY_CLASS_CAP = 64
-DECIDER_N_CAP = 18
 HISTOGRAM_IDENTITY_N_CAP = 5
 
 SHARPNESS_TARGETS = (
     "spectral-integral",
-    "size-integral",
     "spectral-fractional",
     "spectral-fractional-rr",
     "spectral-fractional-general",
@@ -165,12 +165,6 @@ def maximality_min_n(a: int, b: int, k: int) -> int:
 def size_min_n(a: int, b: int, k: int) -> int:
     """Smallest n with n >= 4a + 5b/2 + 4k + 7."""
     return 4 * a + 4 * k + 7 + (5 * b + 1) // 2
-
-
-def size_threshold(a: int, b: int, k: int, n: int) -> int:
-    """The edge count C(n-b-1, 2) + ab + 2a + (b+1)k of the size
-    criticality condition."""
-    return comb(n - b - 1, 2) + a * b + 2 * a + (b + 1) * k
 
 
 def spectral_min_n(a: int, b: int, k: int) -> int:
@@ -444,14 +438,15 @@ def _edge_count_off(edge_count: int, expected: int) -> bool:
 
 def _sharpness_certificate(
     g: Graph, route: str, params: FactorParams
-) -> DeficiencyCertificate | None:
-    """The violating set the sharpness claims name: the sweep's first one
-    when n <= DECIDER_N_CAP, else the clique block S = {0, ..., a+k-1}
-    when it violates."""
-    if g.n <= DECIDER_N_CAP:
-        return decide(g, route, params)
+) -> tuple[DeficiencyCertificate | None, bool]:
+    """The violating set the sharpness claims name, and whether the sweep
+    found it: the sweep's first one when the decider accepts n (n <=
+    SUBSET_SWEEP_CAP), else the clique block S = {0, ..., a+k-1} when it
+    violates."""
+    if g.n <= SUBSET_SWEEP_CAP:
+        return decide(g, route, params), True
     cert = certificate_at(g, route, params, range(params.a + params.k))
-    return cert if cert.violating else None
+    return (cert if cert.violating else None), False
 
 
 def _certificate_off(
@@ -464,12 +459,16 @@ def _certificate_off(
     )
 
 
+def _shape_off(g: Graph, expected_min_degree: int) -> bool:
+    return not g.is_connected() or g.min_degree() != expected_min_degree
+
+
 def check_edge_count_sharpness(a: int, b: int, k: int, n: int) -> CheckResult:
-    """The distinguished member sits one edge below the size threshold
-    C(n-b-1,2) + ab + 2a + (b+1)k and is not (a, b, k)-critical: the
-    block S = {0..a+k-1} violates with deficiency exactly 1.  Uses the
-    full subset-sweep decider when n is small enough, the fixed
-    certificate route otherwise."""
+    """The distinguished member is connected with minimum degree exactly
+    a+k, sits one edge below the size threshold C(n-b-1,2) + ab + 2a +
+    (b+1)k and is not (a, b, k)-critical: the block S = {0..a+k-1}
+    violates with deficiency exactly 1.  Uses the full subset-sweep
+    decider when it accepts n, the fixed certificate route otherwise."""
     factor_params = route_params("integral", a, b, k)
     params = {"a": a, "b": b, "k": k, "n": n}
     need = size_min_n(a, b, k)
@@ -477,31 +476,42 @@ def check_edge_count_sharpness(a: int, b: int, k: int, n: int) -> CheckResult:
         return _not_met("edge-count-sharpness", params, need, "size threshold claim")
     fp = ExtremalParams(a, b, k, n)
     g = extremal_graph(fp)
-    bound = size_threshold(a, b, k, n)
-    actual = g.edge_count
     formula = extremal_edge_count(fp)
-    for expected in (bound - 1, formula):
-        if _edge_count_off(actual, expected):
-            return CheckResult(
-                "edge-count-sharpness",
-                params,
-                "fail",
-                {"edge_count": actual, "formula": formula, "threshold": bound},
-                counterexample={
-                    "kind": "edge-count-mismatch",
-                    "graph": serialize_graph(g),
-                    "expected": expected,
-                },
-            )
+    threshold = formula + 1
+    actual = g.edge_count
+    if _shape_off(g, a + k):
+        return CheckResult(
+            "edge-count-sharpness",
+            params,
+            "fail",
+            {"edge_count": actual, "threshold": threshold, "delta": g.min_degree()},
+            counterexample={
+                "kind": "hypothesis-shape-mismatch",
+                "graph": serialize_graph(g),
+                "expected_min_degree": a + k,
+            },
+        )
+    if _edge_count_off(actual, formula):
+        return CheckResult(
+            "edge-count-sharpness",
+            params,
+            "fail",
+            {"edge_count": actual, "threshold": threshold},
+            counterexample={
+                "kind": "edge-count-mismatch",
+                "graph": serialize_graph(g),
+                "expected": formula,
+            },
+        )
     s_block = tuple(range(a + k))
-    cert = _sharpness_certificate(g, "integral", factor_params)
-    route = "subset-sweep decider" if n <= DECIDER_N_CAP else "fixed-certificate route"
+    cert, swept = _sharpness_certificate(g, "integral", factor_params)
+    route = "subset-sweep decider" if swept else "fixed-certificate route"
     if _certificate_off(cert, s_block, 1):
         return CheckResult(
             "edge-count-sharpness",
             params,
             "fail",
-            {"edge_count": actual, "threshold": bound},
+            {"edge_count": actual, "threshold": threshold},
             counterexample={
                 "kind": "certificate-mismatch",
                 "graph": serialize_graph(g),
@@ -520,7 +530,7 @@ def check_edge_count_sharpness(a: int, b: int, k: int, n: int) -> CheckResult:
         "pass",
         {
             "edge_count": actual,
-            "threshold": bound,
+            "threshold": threshold,
             "deficiency": cert.deficiency,
             "t_size": len(cert.t_set),
         },
@@ -810,18 +820,14 @@ def check_hong_bound(n_max: int, curve_points: int = 100) -> CheckResult:
     )
 
 
-def _shape_off(g: Graph, expected_min_degree: int) -> bool:
-    return not g.is_connected() or g.min_degree() != expected_min_degree
-
-
 def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
-    """At the stated order bound of each criticality condition, the
-    distinguished member meets every hypothesis (connected, minimum
+    """At the stated order bound of each spectral criticality condition,
+    the distinguished member meets every hypothesis (connected, minimum
     degree exactly a+k, radius trivially at the threshold) and still is
-    not critical, so the excluded-graph clause is non-vacuous.  Targets:
+    not critical, so the excluded-graph clause is non-vacuous.  The size
+    condition's sharpness is check_edge_count_sharpness.  Targets:
 
       spectral-integral           radius condition, [a,b]-factor route, b > a
-      size-integral               edge-count condition, b > a
       spectral-fractional         radius condition, fractional route, b > a
       spectral-fractional-rr      radius condition, fractional, a = b = r
       spectral-fractional-general radius condition, fractional, b >= a
@@ -830,7 +836,7 @@ def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
     deficiency exactly 1, re-checked from the deficiency definition."""
     if target not in SHARPNESS_TARGETS:
         raise ValueError(f"unknown sharpness target {target!r}")
-    kind = "integral" if target in ("spectral-integral", "size-integral") else "fractional"
+    kind = "integral" if target == "spectral-integral" else "fractional"
     fparams = route_params(kind, a, b, k)
     if target == "spectral-fractional" and b <= a:
         raise ValueError(f"target {target} needs b > a, got a={a}, b={b}")
@@ -838,8 +844,6 @@ def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
         raise ValueError(f"target {target} needs a == b, got a={a}, b={b}")
     if target == "spectral-fractional-rr":
         need = parity_spectral_min_n(a, k)
-    elif target == "size-integral":
-        need = size_min_n(a, b, k)
     else:
         need = spectral_min_n(a, b, k)
     params = {"a": a, "b": b, "k": k, "n": n, "target": target}
@@ -860,25 +864,12 @@ def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
                 "expected_min_degree": a + k,
             },
         )
-    if target == "size-integral":
-        bound = size_threshold(a, b, k, n)
-        metrics["edge_count"] = g.edge_count
-        metrics["threshold"] = bound
-        if _edge_count_off(g.edge_count, bound - 1):
-            return CheckResult(
-                "sharpness",
-                params,
-                "fail",
-                metrics,
-                counterexample={
-                    "kind": "edge-count-mismatch",
-                    "graph": serialize_graph(g),
-                    "expected": bound - 1,
-                },
-            )
     s_block = tuple(range(a + k))
-    metrics["block_deficiency"] = certificate_at(g, kind, fparams, s_block).deficiency
-    cert = _sharpness_certificate(g, kind, fparams)
+    cert, swept = _sharpness_certificate(g, kind, fparams)
+    block = cert
+    if cert is None or cert.s_set != s_block:
+        block = certificate_at(g, kind, fparams, s_block)
+    metrics["block_deficiency"] = block.deficiency
     if _certificate_off(cert, s_block, 1):
         return CheckResult(
             "sharpness",
@@ -897,7 +888,7 @@ def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
                 "got": None if cert is None else cert.to_json(),
             },
         )
-    route = "subset-sweep decider" if n <= DECIDER_N_CAP else "fixed certificate"
+    route = "subset-sweep decider" if swept else "fixed certificate"
     if n <= 200:
         metrics["lambda"] = spectral_radius(g).lam
     return CheckResult(
@@ -1258,7 +1249,7 @@ _COUNTEREXAMPLES: dict[str, tuple[Callable[..., bool], Callable[[dict], tuple]]]
                 deserialize_graph(ce["graph"]),
                 ce.get("route", "integral"),
                 FactorParams(ce["a"], ce["b"], ce["k"]),
-            ),
+            )[0],
             ce["expected_s_set"],
             ce["expected_deficiency"],
         ),
@@ -1382,9 +1373,6 @@ def battery_plan(level: str = "quick", seed: int = 0) -> list[tuple[str, dict]]:
     plan.append(("hong-bound", {"n_max": hong_n}))
     plan.append(
         ("sharpness", {"a": 1, "b": 2, "k": 0, "n": spectral_min_n(1, 2, 0), "target": "spectral-integral"})
-    )
-    plan.append(
-        ("sharpness", {"a": 1, "b": 2, "k": 0, "n": size_min_n(1, 2, 0), "target": "size-integral"})
     )
     plan.append(
         ("sharpness", {"a": 1, "b": 2, "k": 0, "n": spectral_min_n(1, 2, 0), "target": "spectral-fractional"})

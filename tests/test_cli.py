@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 
 import pytest
 
@@ -255,6 +256,8 @@ def test_decide_b_equal_a_is_usage_error(capsys, monkeypatch):
         )
         assert code == 2
         assert "error:" in err
+        # names the CLI verb, not only the Python function
+        assert re.search(r"\brk\b", err)
 
 
 # -- factor ------------------------------------------------------------------------
@@ -345,6 +348,14 @@ def test_parallel_env_fallback(capsys, monkeypatch):
     assert code == 0
     ns = [json.loads(line)["n"] for line in out.splitlines()]
     assert ns == [4, 4, 5, 4]
+
+
+def test_parallel_env_not_an_integer_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("FACTOR_SPECTRA_THREADS", "two")
+    code, out, err = run_cli(["lambda"], capsys, stdin=C4 + "\n", monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert "error: FACTOR_SPECTRA_THREADS" in err
 
 
 def test_explore_verb(capsys):

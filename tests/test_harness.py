@@ -22,6 +22,8 @@ from factor_spectra.graphs import (
     path_graph,
 )
 from factor_spectra.harness import (
+    _CHECK_FUNCTIONS,
+    SHARPNESS_TARGETS,
     CheckResult,
     battery_plan,
     bracket_min_n,
@@ -167,6 +169,24 @@ def test_edge_sharpness_fixed_route():
     assert "fixed-certificate" in r.notes
 
 
+def test_edge_sharpness_sweeps_up_to_the_decider_cap():
+    # the decider accepts n = 19, so the check sweeps rather than assume the block
+    r = check_edge_count_sharpness(1, 3, 0, 19)
+    assert r.status == "pass"
+    assert r.metrics["deficiency"] == 1
+    assert "subset-sweep" in r.notes
+
+
+def test_edge_sharpness_checks_hypothesis_shape(monkeypatch):
+    monkeypatch.setattr(
+        "factor_spectra.harness.extremal_graph", lambda fp: complete_graph(fp.n)
+    )
+    r = check_edge_count_sharpness(1, 2, 0, 16)
+    assert r.status == "fail"
+    assert r.counterexample["kind"] == "hypothesis-shape-mismatch"
+    assert revalidate_counterexample(r.counterexample)
+
+
 def test_edge_sharpness_guards():
     assert check_edge_count_sharpness(1, 2, 0, 15).status == "hypothesis_not_met"
     with pytest.raises(ValueError):
@@ -260,7 +280,6 @@ def test_hong_guards():
 def test_sharpness_all_targets_at_minimal_order():
     cases = [
         (1, 2, 0, spectral_min_n(1, 2, 0), "spectral-integral"),
-        (1, 2, 0, size_min_n(1, 2, 0), "size-integral"),
         (1, 2, 0, spectral_min_n(1, 2, 0), "spectral-fractional"),
         (2, 2, 0, parity_spectral_min_n(2, 0), "spectral-fractional-rr"),
         (2, 2, 0, spectral_min_n(2, 2, 0), "spectral-fractional-general"),
@@ -272,12 +291,10 @@ def test_sharpness_all_targets_at_minimal_order():
         assert r.metrics["block_deficiency"] == 1
 
 
-def test_sharpness_size_target_edge_count():
-    r = check_sharpness(1, 2, 0, 16, "size-integral")
-    assert r.status == "pass"
-    assert r.metrics["edge_count"] == r.metrics["threshold"] - 1
-    # small order, so the full sweep decider confirmed non-criticality
-    assert "subset-sweep" in r.notes
+def test_sharpness_has_no_size_target():
+    # the size condition's sharpness is check_edge_count_sharpness alone
+    with pytest.raises(ValueError):
+        check_sharpness(1, 2, 0, 16, "size-integral")
 
 
 def test_sharpness_guards():
@@ -622,6 +639,13 @@ def test_battery_plan_names_are_runnable():
         battery_plan("medium")
     with pytest.raises(ValueError):
         run_check("no-such-check", {})
+
+
+def test_full_battery_runs_every_check_and_target():
+    plan = battery_plan("full", seed=0)
+    assert {name for name, _ in plan} == set(_CHECK_FUNCTIONS)
+    targets = {kw["target"] for name, kw in plan if name == "sharpness"}
+    assert targets == set(SHARPNESS_TARGETS)
 
 
 def test_run_check_dispatch():
