@@ -172,6 +172,42 @@ class TestOddComponents:
             count_odd_components(complete_graph(3), [0], [0], 2)
 
 
+def random_pair(g: Graph, rng: random.Random) -> tuple[set[int], set[int]]:
+    verts = list(range(g.n))
+    rng.shuffle(verts)
+    xs = rng.randint(0, g.n)
+    ys = rng.randint(0, g.n - xs)
+    return set(verts[:xs]), set(verts[xs : xs + ys])
+
+
+class TestParityFacts:
+    """The two facts the pair sweep's pruning rests on, checked on random
+    pairs: Tutte's parity lemma, and for even r the edge cap on h."""
+
+    def test_deficiency_parity_lemma(self):
+        # delta(X, Y) = r|Y| - r|X| - sum_Y d_{G-X} + h is congruent to r n
+        # (mod 2), so the deficiency, delta + rk, is congruent to r(n - k)
+        rng = random.Random(61)
+        for _ in range(400):
+            g = random_graph(rng.randint(1, 9), rng.choice([0.2, 0.5, 0.8]), rng)
+            x, y = random_pair(g, rng)
+            r = rng.choice([2, 3, 4])
+            k = rng.randint(0, len(x))
+            assert parity_deficiency(g, x, y, r, k) % 2 == r * (g.n - k) % 2
+
+    def test_even_r_odd_components_capped_by_edges_to_rest(self):
+        # for even r a counted component C has e(Y, C) odd, so at least one
+        # edge to Y: h <= e(Y, R) with R = V - X - Y, and h <= |R|
+        rng = random.Random(67)
+        for _ in range(400):
+            g = random_graph(rng.randint(1, 9), rng.choice([0.2, 0.5, 0.8]), rng)
+            x, y = random_pair(g, rng)
+            rest = set(range(g.n)) - x - y
+            e_yr = sum(1 for u in y for v in g.neighbors(u) if v in rest)
+            for r in (2, 4):
+                assert count_odd_components(g, x, y, r) <= min(e_yr, len(rest))
+
+
 class TestIntegralDecider:
     def test_cycle_critical(self):
         assert is_abk_critical(cycle_graph(5), P120) is None
@@ -290,12 +326,13 @@ class TestParityDecider:
         assert parity_deficiency(path_graph(3), (), (1,), 2, 0) == 2
 
     def test_matches_naive_first_violation(self):
+        # dense, near-regular graphs are where the sweep's bounds skip most
         rng = random.Random(53)
         for _ in range(120):
-            n = rng.randint(4, 7)
-            g = random_graph(n, rng.choice([0.3, 0.5, 0.8]), rng)
-            r = rng.choice([2, 3])
-            k = rng.choice([0, 1])
+            n = rng.randint(4, 8)
+            g = random_graph(n, rng.choice([0.3, 0.5, 0.8, 0.95]), rng)
+            r = rng.choice([2, 3, 4])
+            k = rng.choice([0, 1, 2])
             if n < r + k + 1:
                 continue
             want = naive_parity_first_violation(g, r, k)
@@ -307,10 +344,12 @@ class TestParityDecider:
                 assert (cert.s_set, cert.t_set, cert.deficiency) == want
 
     def test_matches_definition_small(self):
-        for g in enumerate_graphs(4, connected_only=True):
-            want = critical_by_definition(g, FactorParams(2, 2, 0), "integral")
-            got = is_rk_critical(g, 2, 0) is None
-            assert got == want
+        for n in (4, 5):
+            for g in enumerate_graphs(n, connected_only=True):
+                for k in (0, 1):
+                    want = critical_by_definition(g, FactorParams(2, 2, k), "parity")
+                    got = is_rk_critical(g, 2, k) is None
+                    assert got == want
 
     def test_r_below_two_rejected(self):
         with pytest.raises(ValueError):
