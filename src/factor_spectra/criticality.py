@@ -14,7 +14,11 @@ Each notion has an exact finite test:
       r|X| - r|Y| + sum_{v in Y} d_{G-X}(v) - h(X, Y) >= rk,
   where h counts components C of G - (X u Y) with r|V(C)| + e(Y, C) odd.
   X = Y = emptyset is a legal pair when k = 0 and contributes the plain
-  parity test on G itself.
+  parity test on G itself.  Two facts bound the surplus (left side minus
+  rk) from below, so the pair sweep skips pairs it cannot fail at:
+  Tutte's parity lemma makes the surplus congruent to r(n - k) (mod 2),
+  and for even r a counted component has an odd number of edges to Y,
+  hence at least one, so h(X, Y) <= e(Y, V - X - Y).
 
 The integral and fractional conditions share one deficiency: a vertex of
 degree exactly a in G - S adds a - a = 0 to the T-sum, so the two differ
@@ -353,11 +357,21 @@ def is_rk_critical(g: Graph, r: int, k: int) -> DeficiencyCertificate | None:
     else the first violating disjoint pair (X, Y), X by size/lex, then Y
     by size/lex, as a parity certificate.
 
-    A whole |Y| = l slice is skipped when a sound bound already proves it
-    clean: sum over Y of (d_{G-X}(v) - r) is at least the sum of the l
-    smallest such values, and h(X, Y) is at most max(0, n - |X| - l), so
-    a nonnegative lower bound on the surplus rules out every Y of that
-    size.  Exactness and first-violation order are unaffected.
+    Pairs are skipped, never reordered, when a sound lower bound on the
+    surplus r(|X| - k) + sum_Y (d_{G-X}(v) - r) - h(X, Y) proves them
+    clean, so exactness and the first violation are unaffected:
+
+    * Tutte's parity lemma: the surplus is congruent to r(n - k) (mod 2),
+      so when that is even a violating surplus is at most -2, and a lower
+      bound of -1 already rules the pair out.
+    * h(X, Y) <= |R| with R = V - X - Y; for even r also h <= e(Y, R),
+      since a counted component C has e(Y, C) odd, hence at least one
+      edge to Y, and e(Y, R) <= sum_Y d_{G-X}(v).
+    * A whole |Y| = l slice is skipped when the sum of the l smallest
+      d_{G-X}(v) - r, less the cap on h, already clears the bound; a
+      single Y is skipped, before h is counted, on its own degree sum.
+      A whole X is skipped when the lowest slice bound over all l clears,
+      and the sweep ends once |X| alone makes that certain.
     """
     params = route_params("parity", r, k)
     if g.n < r + k + 1:
@@ -366,27 +380,54 @@ def is_rk_critical(g: Graph, r: int, k: int) -> DeficiencyCertificate | None:
         raise ValueError(f"n={g.n} exceeds the pair sweep cap {PAIR_SWEEP_CAP}")
     adj = g.adj
     n = g.n
+    even_r = r % 2 == 0
+    # a violating surplus is negative and congruent to r(n - k) (mod 2)
+    slack = 2 if r * (n - k) % 2 == 0 else 1
+    full = (1 << n) - 1
+    # risky[s]: the vertices that can be short (d_{G-X}(v) < r - 1) once
+    # s vertices are deleted, since d_{G-X}(v) >= d_G(v) - |X|
+    risky = [sum(1 << v for v in range(n) if adj[v].bit_count() < r - 1 + s) for s in range(n + 1)]
     for x_mask, x_size in _subsets_by_size(n, k):
-        keep = ~x_mask
-        rest = [v for v in range(n) if not x_mask >> v & 1]
-        margins = sorted((adj[v] & keep).bit_count() - r for v in rest)
-        prefix = [0]
-        for mv in margins:
-            prefix.append(prefix[-1] + mv)
         base = r * (x_size - k)
+        # `low` is the slice bound with h <= |R|, R = rest minus Y.  Over l
+        # it falls by r - 1 - d_{G-X}(v) <= r - 1 at each short vertex, then
+        # rises, so X is clean once its lowest value clears.  Counting every
+        # rest vertex as short ends the sweep (the bound grows with |X|);
+        # counting the risky ones skips X before any degree is read.
+        low = base - (n - x_size)
+        if low - (r - 1) * (n - x_size) > -slack:
+            break
+        if low - (r - 1) * (risky[x_size] & ~x_mask).bit_count() > -slack:
+            continue
+        keep = ~x_mask
+        deg = [(row & keep).bit_count() for row in adj]
+        rest = [v for v in range(n) if not x_mask >> v & 1]
+        short = [deg[v] for v in rest if deg[v] < r - 1]
+        if low + sum(short) - (r - 1) * len(short) > -slack:
+            continue
+        rest_mask = full & keep
+        margins = sorted(deg[v] - r for v in rest)
         for l in range(len(rest) + 1):
-            hcap = max(0, n - x_size - l)
-            if base + prefix[l] - hcap >= 0:
+            if l:
+                low += margins[l - 1] + 1
+            if low > -slack or (even_r and base - r * l > -slack):
                 continue
+            r_size = len(rest) - l
             for y_combo in itertools.combinations(rest, l):
                 y_mask = 0
                 deg_sum = 0
                 for v in y_combo:
                     y_mask |= 1 << v
-                    deg_sum += (adj[v] & keep).bit_count()
+                    deg_sum += deg[v]
+                surplus = base + deg_sum - r * l  # before h is subtracted
+                if surplus - r_size > -slack:
+                    continue
+                if even_r:
+                    r_mask = rest_mask & ~y_mask
+                    if surplus - sum((adj[v] & r_mask).bit_count() for v in y_combo) > -slack:
+                        continue
                 h = _count_odd_components_mask(adj, n, x_mask, y_mask, r)
-                surplus = base + deg_sum - r * l - h
-                if surplus < 0:
+                if surplus - h < 0:
                     return certificate_at(g, "parity", params, _vertices(x_mask), y_combo)
     return None
 

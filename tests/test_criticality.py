@@ -15,6 +15,7 @@ import tracemalloc
 
 import pytest
 
+from factor_spectra import criticality
 from factor_spectra.criticality import (
     DeficiencyCertificate,
     FactorParams,
@@ -350,6 +351,20 @@ class TestParityDecider:
                     want = critical_by_definition(g, FactorParams(2, 2, k), "parity")
                     got = is_rk_critical(g, 2, k) is None
                     assert got == want
+
+    def test_bounds_skip_complete_graph_sweep(self, monkeypatch):
+        # K12 is (2, 0)-critical; the parity lemma and the edge cap on h
+        # leave only the twelve singleton Y with X empty to count
+        calls = []
+        counter = criticality._count_odd_components_mask
+
+        def counting(*args):
+            calls.append(args)
+            return counter(*args)
+
+        monkeypatch.setattr(criticality, "_count_odd_components_mask", counting)
+        assert is_rk_critical(complete_graph(12), 2, 0) is None
+        assert len(calls) <= 12
 
     def test_r_below_two_rejected(self):
         with pytest.raises(ValueError):
