@@ -386,7 +386,9 @@ def is_rk_critical(g: Graph, r: int, k: int) -> DeficiencyCertificate | None:
     full = (1 << n) - 1
     # risky[s]: the vertices that can be short (d_{G-X}(v) < r - 1) once
     # s vertices are deleted, since d_{G-X}(v) >= d_G(v) - |X|
-    risky = [sum(1 << v for v in range(n) if adj[v].bit_count() < r - 1 + s) for s in range(n + 1)]
+    risky = [
+        sum(1 << v for v in range(n) if adj[v].bit_count() < r - 1 + s) for s in range(n + 1)
+    ]
     for x_mask, x_size in _subsets_by_size(n, k):
         base = r * (x_size - k)
         # `low` is the slice bound with h <= |R|, R = rest minus Y.  Over l
@@ -412,7 +414,7 @@ def is_rk_critical(g: Graph, r: int, k: int) -> DeficiencyCertificate | None:
                 low += margins[l - 1] + 1
             if low > -slack or (even_r and base - r * l > -slack):
                 continue
-            r_size = len(rest) - l
+            outside_size = len(rest) - l  # |R|
             for y_combo in itertools.combinations(rest, l):
                 y_mask = 0
                 deg_sum = 0
@@ -420,11 +422,11 @@ def is_rk_critical(g: Graph, r: int, k: int) -> DeficiencyCertificate | None:
                     y_mask |= 1 << v
                     deg_sum += deg[v]
                 surplus = base + deg_sum - r * l  # before h is subtracted
-                if surplus - r_size > -slack:
+                if surplus - outside_size > -slack:
                     continue
                 if even_r:
-                    r_mask = rest_mask & ~y_mask
-                    if surplus - sum((adj[v] & r_mask).bit_count() for v in y_combo) > -slack:
+                    outside = rest_mask & ~y_mask
+                    if surplus - sum((adj[v] & outside).bit_count() for v in y_combo) > -slack:
                         continue
                 h = _count_odd_components_mask(adj, n, x_mask, y_mask, r)
                 if surplus - h < 0:

@@ -98,6 +98,15 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def random_pair(g: Graph, rng: random.Random) -> tuple[set[int], set[int]]:
+    """Random disjoint X and Y over the vertices of g."""
+    verts = list(range(g.n))
+    rng.shuffle(verts)
+    xs = rng.randint(0, g.n)
+    ys = rng.randint(0, g.n - xs)
+    return set(verts[:xs]), set(verts[xs : xs + ys])
+
+
 # -- frozen values ---------------------------------------------------------------
 
 
@@ -160,25 +169,13 @@ class TestOddComponents:
         for _ in range(300):
             n = rng.randint(1, 8)
             g = random_graph(n, 0.4, rng)
-            verts = list(range(n))
-            rng.shuffle(verts)
-            xs = rng.randint(0, n)
-            ys = rng.randint(0, n - xs)
-            x, y = set(verts[:xs]), set(verts[xs : xs + ys])
+            x, y = random_pair(g, rng)
             r = rng.randint(1, 3)
             assert count_odd_components(g, x, y, r) == naive_odd_components(g, x, y, r)
 
     def test_disjointness_enforced(self):
         with pytest.raises(ValueError):
             count_odd_components(complete_graph(3), [0], [0], 2)
-
-
-def random_pair(g: Graph, rng: random.Random) -> tuple[set[int], set[int]]:
-    verts = list(range(g.n))
-    rng.shuffle(verts)
-    xs = rng.randint(0, g.n)
-    ys = rng.randint(0, g.n - xs)
-    return set(verts[:xs]), set(verts[xs : xs + ys])
 
 
 class TestParityFacts:
