@@ -9,7 +9,13 @@ serialization alone, and verify the explorer is deterministic per seed.
 
 from __future__ import annotations
 
+import json
+import math
+from pathlib import Path
+
 import pytest
+
+from factor_spectra import harness
 
 from factor_spectra.criticality import FactorParams, integral_deficiency, is_rk_critical
 from factor_spectra.families import ExtremalParams, extremal_graph
@@ -23,6 +29,7 @@ from factor_spectra.graphs import (
 )
 from factor_spectra.harness import (
     _CHECK_FUNCTIONS,
+    _COUNTEREXAMPLES,
     SHARPNESS_TARGETS,
     CheckResult,
     battery_plan,
@@ -657,7 +664,76 @@ def test_run_check_dispatch():
     assert j["counterexample"] is None
 
 
+GOLDEN_QUICK = Path(__file__).parent / "data" / "verify_quick_seed0.jsonl"
+
+
+def _assert_same_record(got, want, path="record"):
+    """Exact match on everything but floats, which may differ by libm
+    rounding (the Perron metrics use float powers): rel 1e-9."""
+    assert type(got) is type(want), (path, got, want)
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            _assert_same_record(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_record(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert got == want or math.isclose(got, want, rel_tol=1e-9), (path, got, want)
+    else:
+        assert got == want, (path, got, want)
+
+
 def test_quick_battery_all_pass():
     results = run_battery("quick", seed=0)
     for r in results:
         assert r.status == "pass", (r.check_id, r.params, r.notes)
+    # the records are those of `factor-spectra verify --level quick --seed 0`
+    golden = [json.loads(line) for line in GOLDEN_QUICK.read_text().splitlines()]
+    records = [json.loads(json.dumps(r.to_json())) for r in results]
+    assert len(records) == len(golden)
+    for got, want in zip(records, golden):
+        _assert_same_record(got, want, want["check_id"])
+
+
+# -- fail paths --------------------------------------------------------------------------
+
+# (predicate forced True, check call on a healthy instance, counterexample kind)
+FAIL_PATHS = [
+    ("_outside_interval", lambda: check_family_radius_bracket(1, 2, 0, 10), "spectral-out-of-interval"),
+    ("_not_dominated", lambda: check_family_maximality(3, 3, 0, 16), "spectral-not-dominated"),
+    ("_shape_off", lambda: check_edge_count_sharpness(1, 2, 0, 16), "hypothesis-shape-mismatch"),
+    ("_edge_count_off", lambda: check_edge_count_sharpness(1, 2, 0, 16), "edge-count-mismatch"),
+    ("_certificate_off", lambda: check_edge_count_sharpness(1, 2, 0, 16), "certificate-mismatch"),
+    ("_certificate_off", lambda: check_edge_count_sharpness(2, 3, 1, 30), "certificate-mismatch"),
+    ("_shape_off", lambda: check_sharpness(1, 2, 0, 40, "spectral-integral"), "hypothesis-shape-mismatch"),
+    ("_certificate_off", lambda: check_sharpness(1, 2, 0, 40, "spectral-fractional"), "certificate-mismatch"),
+    ("_perron_off", lambda: check_perron_system(2, 3, 0, 11), "perron-system-residual"),
+    ("_decider_disagrees", lambda: cross_validate_deciders(4, [("integral", 1, 2, 0)]), "decider-disagreement"),
+    ("_histogram_off", lambda: cross_validate_deciders(4, [("integral", 1, 2, 0)]), "histogram-identity-mismatch"),
+    ("_hong_off", lambda: check_hong_bound(3), "hong-equality-mismatch"),
+    ("_curve_rises", lambda: check_hong_bound(2), "curve-monotonicity-violation"),
+    ("_not_lowered", lambda: check_subgraph_monotonicity(5), "monotonicity-violation"),
+    ("_not_raised", lambda: check_edge_rotation(5), "rotation-violation"),
+    ("_candidate_fails", lambda: explore_conjecture(2, 0, 8, 150, seed=5), "candidate-revalidation-failure"),
+]
+
+
+@pytest.mark.parametrize(
+    "predicate, check, kind", FAIL_PATHS, ids=[f"{p}-{i}" for i, (p, _, _) in enumerate(FAIL_PATHS)]
+)
+def test_fail_path_counterexample_rechecks(monkeypatch, predicate, check, kind):
+    # forcing a check's predicate fails it on a healthy instance, so its
+    # counterexample must be readable and must not reproduce
+    monkeypatch.setattr(harness, predicate, lambda *args: True)
+    r = check()
+    assert r.status == "fail"
+    assert r.counterexample["kind"] == kind
+    assert kind in _COUNTEREXAMPLES
+    assert revalidate_counterexample(r.counterexample) is False
+
+
+def test_fail_paths_raise_every_registered_kind():
+    raised = {kind for _, _, kind in FAIL_PATHS}
+    assert raised | {"explorer-candidates"} == set(_COUNTEREXAMPLES)
