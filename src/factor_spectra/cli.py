@@ -30,6 +30,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from typing import Iterable
 
 from .criticality import decide, route_params
 from .factors import find_ab_factor, find_fractional_factor
@@ -136,7 +137,7 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit_records(records: list[dict], out: str, columns: list[str], texter) -> None:
+def _emit_records(records: Iterable[dict], out: str, columns: list[str], texter) -> None:
     if out == "json":
         for rec in records:
             print(json.dumps(rec))
@@ -230,18 +231,19 @@ def _cmd_decide(args, route: str, flags: tuple[str, ...] = ("a", "b", "k")) -> i
     graphs = _load_corpus(args)
     params = route_params(route, *(getattr(args, f) for f in flags))
     fn = partial(decide, route=route, params=params)
-    records = [
-        {"critical": cert is None, "certificate": None if cert is None else cert.to_json()}
-        for cert in _map_records(fn, graphs, _resolve_parallel(args))
-    ]
-    if args.out == "csv":
-        flat = [_decide_columns_flatten(r) for r in records]
-        _emit_records(flat, "csv", ["critical", "kind", "s_set", "t_set", "deficiency"], None)
-    else:
-        _emit_records(records, args.out, [], _decide_text)
-    if args.expect_critical and not all(r["critical"] for r in records):
-        failing = sum(1 for r in records if not r["critical"])
-        print(f"{failing} of {len(records)} graphs are not critical", file=sys.stderr)
+    failing = 0
+
+    def records():
+        nonlocal failing
+        for cert in _map_records(fn, graphs, _resolve_parallel(args)):
+            failing += cert is not None
+            rec = {"critical": cert is None, "certificate": None if cert is None else cert.to_json()}
+            yield _decide_columns_flatten(rec) if args.out == "csv" else rec
+
+    columns = ["critical", "kind", "s_set", "t_set", "deficiency"]
+    _emit_records(records(), args.out, columns, _decide_text)
+    if args.expect_critical and failing:
+        print(f"{failing} of {len(graphs)} graphs are not critical", file=sys.stderr)
         return 1
     return 0
 
@@ -318,6 +320,13 @@ def _add_output_flag(p) -> None:
                    help="output format (default json, one object per graph)")
 
 
+def _add_decider_flags(p) -> None:
+    _add_input_flags(p)
+    _add_output_flag(p)
+    p.add_argument("--expect-critical", action="store_true",
+                   help="exit 1 if any input graph is not critical")
+
+
 def _add_window_flags(p, need_b: bool = True) -> None:
     p.add_argument("--a", type=int, required=True, help="lower degree bound a >= 1")
     if need_b:
@@ -358,27 +367,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="integral (a, b, k)-criticality with certificate")
     _add_window_flags(p)
-    _add_input_flags(p)
-    _add_output_flag(p)
-    p.add_argument("--expect-critical", action="store_true",
-                   help="exit 1 if any input graph is not critical")
+    _add_decider_flags(p)
     p.set_defaults(handler=partial(_cmd_decide, route="integral"))
 
     p = sub.add_parser("fractional", help="fractional (a, b, k)-criticality with certificate")
     _add_window_flags(p)
-    _add_input_flags(p)
-    _add_output_flag(p)
-    p.add_argument("--expect-critical", action="store_true",
-                   help="exit 1 if any input graph is not critical")
+    _add_decider_flags(p)
     p.set_defaults(handler=partial(_cmd_decide, route="fractional"))
 
     p = sub.add_parser("rk", help="(r, k)-criticality (r-factors) by Tutte's parity condition")
     p.add_argument("--r", type=int, required=True, help="target degree r >= 2")
     p.add_argument("--k", type=int, default=0, help="deletion count k >= 0 (default 0)")
-    _add_input_flags(p)
-    _add_output_flag(p)
-    p.add_argument("--expect-critical", action="store_true",
-                   help="exit 1 if any input graph is not critical")
+    _add_decider_flags(p)
     p.set_defaults(handler=partial(_cmd_decide, route="parity", flags=("r", "k")))
 
     p = sub.add_parser("factor", help="find an explicit [a, b]-factor of each input graph")

@@ -84,9 +84,6 @@ class FamilyAssignment:
 
     attachments: tuple[tuple[int, ...], ...]
 
-    def degree_multiset(self) -> tuple[int, ...]:
-        return tuple(sorted((len(s) for s in self.attachments), reverse=True))
-
 
 def _validate_assignment(params: ExtremalParams, assignment: FamilyAssignment) -> None:
     att = assignment.attachments

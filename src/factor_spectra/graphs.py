@@ -7,12 +7,16 @@ single integer operations.  Graphs are immutable after construction; edit
 operations return new graphs.
 
 Serialization: graph6 short form (n <= 62), a plain edge-list text format,
-and DOT output for quick visual inspection.
+and DOT output for quick visual inspection; serialize_graph picks graph6
+or edge-list text for a self-contained counterexample.  Also: an exact
+isomorphism test and reject-sampled random connected graphs, both at desk
+scale.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Iterable, Iterator
 
 GRAPH6_MAX_N = 62
@@ -310,6 +314,21 @@ def parse_edge_list(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def serialize_graph(g: Graph) -> dict:
+    """Self-contained text form: graph6 when it fits, edge list otherwise."""
+    if g.n <= GRAPH6_MAX_N:
+        return {"format": "graph6", "data": to_graph6(g)}
+    return {"format": "edge-list", "data": to_edge_list(g)}
+
+
+def deserialize_graph(d: dict) -> Graph:
+    if d["format"] == "graph6":
+        return parse_graph6(d["data"])
+    if d["format"] == "edge-list":
+        return parse_edge_list(d["data"])
+    raise ValueError(f"unknown graph serialization format {d['format']!r}")
+
+
 def to_dot(g: Graph, name: str = "G") -> str:
     lines = [f"graph {name} {{"]
     for v in range(g.n):
@@ -342,3 +361,104 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
         if connected_only and (n == 0 or not g.is_connected()):
             continue
         yield g
+
+
+# -- isomorphism (desk scale) --------------------------------------------------
+
+
+def _joint_refine(g: Graph, h: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Color-refine both graphs against a shared palette.  Returns the
+    stable colorings, or None when the color histograms separate the
+    graphs (hence not isomorphic)."""
+    cg = list(g.degrees())
+    ch = list(h.degrees())
+    for _ in range(max(g.n, 1)):
+        sig_g = [
+            (cg[v], tuple(sorted(cg[u] for u in g.neighbors(v)))) for v in range(g.n)
+        ]
+        sig_h = [
+            (ch[v], tuple(sorted(ch[u] for u in h.neighbors(v)))) for v in range(h.n)
+        ]
+        palette = {s: i for i, s in enumerate(sorted(set(sig_g) | set(sig_h)))}
+        new_g = [palette[s] for s in sig_g]
+        new_h = [palette[s] for s in sig_h]
+        if sorted(new_g) != sorted(new_h):
+            return None
+        stable = len(set(new_g)) == len(set(cg)) and len(set(new_h)) == len(set(ch))
+        cg, ch = new_g, new_h
+        if stable:
+            break
+    return tuple(cg), tuple(ch)
+
+
+def isomorphic(g: Graph, h: Graph) -> bool:
+    """Exact isomorphism test: color refinement, then class-constrained
+    backtracking.  Meant for n <= 12 or so; the family graphs' large
+    symmetry classes keep the search shallow."""
+    if g.n != h.n:
+        return False
+    if g.edge_count != h.edge_count:
+        return False
+    if sorted(g.degrees()) != sorted(h.degrees()):
+        return False
+    refined = _joint_refine(g, h)
+    if refined is None:
+        return False
+    cg, ch = refined
+    pool: dict[int, list[int]] = {}
+    for v, c in enumerate(ch):
+        pool.setdefault(c, []).append(v)
+    order = sorted(range(g.n), key=lambda v: (len(pool[cg[v]]), cg[v], v))
+    image = [-1] * g.n
+    used = [False] * h.n
+
+    def extend(i: int) -> bool:
+        if i == g.n:
+            return True
+        v = order[i]
+        for w in pool[cg[v]]:
+            if used[w]:
+                continue
+            if all(
+                g.has_edge(order[j], v) == h.has_edge(image[order[j]], w)
+                for j in range(i)
+            ):
+                image[v] = w
+                used[w] = True
+                if extend(i + 1):
+                    return True
+                used[w] = False
+                image[v] = -1
+        return False
+
+    return extend(0)
+
+
+# -- random instances ----------------------------------------------------------
+
+
+def random_connected_graph(
+    rng: random.Random,
+    n: int,
+    p: float,
+    min_degree: int = 1,
+    tries: int = 20000,
+) -> Graph:
+    """Reject-sample an Erdos-Renyi graph until connected with the given
+    minimum degree."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    for _ in range(tries):
+        rows = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+        g = Graph(n, tuple(rows))
+        if g.is_connected() and (n == 1 or g.min_degree() >= min_degree):
+            return g
+    raise RuntimeError(
+        f"no connected graph with min degree {min_degree} found in {tries} tries "
+        f"(n={n}, p={p})"
+    )

@@ -53,7 +53,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Callable, Iterable
 
 from .criticality import (
@@ -78,13 +79,12 @@ from .families import (
     family_degree_classes,
 )
 from .graphs import (
-    GRAPH6_MAX_N,
     Graph,
+    deserialize_graph,
     enumerate_graphs,
-    parse_edge_list,
-    parse_graph6,
-    to_edge_list,
-    to_graph6,
+    isomorphic,
+    random_connected_graph,
+    serialize_graph,
 )
 from .spectral import hong_bound, hong_bound_formula, spectral_radius
 
@@ -96,13 +96,6 @@ PROPERTY_MARGIN = 1e-10
 BRACKET_MARGIN = 1e-8
 FAMILY_CLASS_CAP = 64
 HISTOGRAM_IDENTITY_N_CAP = 5
-
-SHARPNESS_TARGETS = (
-    "spectral-integral",
-    "spectral-fractional",
-    "spectral-fractional-rr",
-    "spectral-fractional-general",
-)
 
 
 @dataclass
@@ -122,28 +115,17 @@ class CheckResult:
     counterexample: dict | None = None
     notes: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.status == "pass"
-
     def to_json(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "params": self.params,
-            "status": self.status,
-            "metrics": self.metrics,
-            "counterexample": self.counterexample,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
-def _not_met(check_id: str, params: dict, need: int, claim: str) -> CheckResult:
-    return CheckResult(
-        check_id,
-        params,
+def _not_met(result: partial, need: int, claim: str, order: str = "n") -> CheckResult:
+    """The claim needs its order parameter params[order] >= need."""
+    got = result.args[1][order]
+    return result(
         "hypothesis_not_met",
         {"min_n": need},
-        notes=f"{claim} needs n >= {need}, got n={params['n']}",
+        notes=f"{claim} needs {order} >= {need}, got {order}={got}",
     )
 
 
@@ -158,8 +140,7 @@ def bracket_min_n(a: int, b: int, k: int) -> int:
 
 def maximality_min_n(a: int, b: int, k: int) -> int:
     """Smallest n with n >= (4a + 2b + ab + (b+2)k)/2 + 2."""
-    num = 4 * a + 2 * b + a * b + (b + 2) * k
-    return (num + 1) // 2 + 2
+    return bracket_min_n(a, b, k) + 1
 
 
 def size_min_n(a: int, b: int, k: int) -> int:
@@ -179,127 +160,18 @@ def parity_spectral_min_n(r: int, k: int) -> int:
     return 2 * (2 * r + k + 2) * (r + k + 2)
 
 
-# -- graph (de)serialization for counterexamples ------------------------------
-
-
-def serialize_graph(g: Graph) -> dict:
-    """Self-contained text form: graph6 when it fits, edge list otherwise."""
-    if g.n <= GRAPH6_MAX_N:
-        return {"format": "graph6", "data": to_graph6(g)}
-    return {"format": "edge-list", "data": to_edge_list(g)}
-
-
-def deserialize_graph(d: dict) -> Graph:
-    if d["format"] == "graph6":
-        return parse_graph6(d["data"])
-    if d["format"] == "edge-list":
-        return parse_edge_list(d["data"])
-    raise ValueError(f"unknown graph serialization format {d['format']!r}")
+# target -> (a, b, k, n): the battery runs each sharpness target at its order bound
+_SHARPNESS_INSTANCES = {
+    "spectral-integral": (1, 2, 0, spectral_min_n(1, 2, 0)),
+    "spectral-fractional": (1, 2, 0, spectral_min_n(1, 2, 0)),
+    "spectral-fractional-rr": (2, 2, 0, parity_spectral_min_n(2, 0)),
+    "spectral-fractional-general": (2, 2, 0, spectral_min_n(2, 2, 0)),
+}
+SHARPNESS_TARGETS = tuple(_SHARPNESS_INSTANCES)
 
 
 def _radius(graph: dict) -> float:
     return spectral_radius(deserialize_graph(graph)).lam
-
-
-# -- isomorphism (desk scale) --------------------------------------------------
-
-
-def _joint_refine(g: Graph, h: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Color-refine both graphs against a shared palette.  Returns the
-    stable colorings, or None when the color histograms separate the
-    graphs (hence not isomorphic)."""
-    cg = list(g.degrees())
-    ch = list(h.degrees())
-    for _ in range(max(g.n, 1)):
-        sig_g = [
-            (cg[v], tuple(sorted(cg[u] for u in g.neighbors(v)))) for v in range(g.n)
-        ]
-        sig_h = [
-            (ch[v], tuple(sorted(ch[u] for u in h.neighbors(v)))) for v in range(h.n)
-        ]
-        palette = {s: i for i, s in enumerate(sorted(set(sig_g) | set(sig_h)))}
-        new_g = [palette[s] for s in sig_g]
-        new_h = [palette[s] for s in sig_h]
-        if sorted(new_g) != sorted(new_h):
-            return None
-        stable = len(set(new_g)) == len(set(cg)) and len(set(new_h)) == len(set(ch))
-        cg, ch = new_g, new_h
-        if stable:
-            break
-    return tuple(cg), tuple(ch)
-
-
-def isomorphic(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism test: color refinement, then class-constrained
-    backtracking.  Meant for n <= 12 or so; the family graphs' large
-    symmetry classes keep the search shallow."""
-    if g.n != h.n:
-        return False
-    if g.edge_count != h.edge_count:
-        return False
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return False
-    refined = _joint_refine(g, h)
-    if refined is None:
-        return False
-    cg, ch = refined
-    pool: dict[int, list[int]] = {}
-    for v, c in enumerate(ch):
-        pool.setdefault(c, []).append(v)
-    order = sorted(range(g.n), key=lambda v: (len(pool[cg[v]]), cg[v], v))
-    image = [-1] * g.n
-    used = [False] * h.n
-
-    def extend(i: int) -> bool:
-        if i == g.n:
-            return True
-        v = order[i]
-        for w in pool[cg[v]]:
-            if used[w]:
-                continue
-            if all(
-                g.has_edge(order[j], v) == h.has_edge(image[order[j]], w)
-                for j in range(i)
-            ):
-                image[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                used[w] = False
-                image[v] = -1
-        return False
-
-    return extend(0)
-
-
-# -- random instances ----------------------------------------------------------
-
-
-def random_connected_graph(
-    rng: random.Random,
-    n: int,
-    p: float,
-    min_degree: int = 1,
-    tries: int = 20000,
-) -> Graph:
-    """Reject-sample an Erdos-Renyi graph until connected with the given
-    minimum degree."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    for _ in range(tries):
-        rows = [0] * n
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < p:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-        g = Graph(n, tuple(rows))
-        if g.is_connected() and (n == 1 or g.min_degree() >= min_degree):
-            return g
-    raise RuntimeError(
-        f"no connected graph with min degree {min_degree} found in {tries} tries "
-        f"(n={n}, p={p})"
-    )
 
 
 # -- individual checks ----------------------------------------------------------
@@ -317,10 +189,10 @@ def check_family_radius_bracket(
     order bound.  Falls back to the distinguished member alone when the
     family has more degree classes than class_cap."""
     FactorParams(a, b, k)  # validates the shape
-    params = {"a": a, "b": b, "k": k, "n": n}
+    result = partial(CheckResult, "family-radius-bracket", {"a": a, "b": b, "k": k, "n": n})
     need = bracket_min_n(a, b, k)
     if n < need:
-        return _not_met("family-radius-bracket", params, need, "bracket claim")
+        return _not_met(result, need, "bracket claim")
     fp = ExtremalParams(a, b, k, n)
     classes = family_degree_classes(fp)
     if len(classes) > class_cap:
@@ -340,9 +212,7 @@ def check_family_radius_bracket(
         lam_max = max(lam_max, lam)
         count += 1
         if _outside_interval(lam, lo, hi, BRACKET_MARGIN):
-            return CheckResult(
-                "family-radius-bracket",
-                params,
+            return result(
                 "fail",
                 {"members_checked": count, "lambda": lam, "lower": lo, "upper": hi},
                 counterexample={
@@ -355,9 +225,7 @@ def check_family_radius_bracket(
                 },
                 notes=scope,
             )
-    return CheckResult(
-        "family-radius-bracket",
-        params,
+    return result(
         "pass",
         {
             "members_checked": count,
@@ -382,18 +250,16 @@ def check_family_maximality(a: int, b: int, k: int, n: int) -> CheckResult:
     FactorParams(a, b, k)  # validates the shape
     if a > 5:
         raise ValueError(f"family enumeration is capped at a <= 5, got a={a}")
-    params = {"a": a, "b": b, "k": k, "n": n}
+    result = partial(CheckResult, "family-maximality", {"a": a, "b": b, "k": k, "n": n})
     need = maximality_min_n(a, b, k)
     if n < need:
-        return _not_met("family-maximality", params, need, "maximality claim")
+        return _not_met(result, need, "maximality claim")
     fp = ExtremalParams(a, b, k, n)
     reps = list(enumerate_family(fp))
     distinguished = reps[0]
     lam_f = spectral_radius(distinguished).lam
     if len(reps) == 1:
-        return CheckResult(
-            "family-maximality",
-            params,
+        return result(
             "pass",
             {"classes": 1, "lambda_distinguished": lam_f},
             notes="single-class family, trivially maximal",
@@ -403,9 +269,7 @@ def check_family_maximality(a: int, b: int, k: int, n: int) -> CheckResult:
         lam = spectral_radius(g).lam
         best_rival = max(best_rival, lam)
         if _not_dominated(lam_f, lam, STRICT_MARGIN):
-            return CheckResult(
-                "family-maximality",
-                params,
+            return result(
                 "fail",
                 {
                     "classes": len(reps),
@@ -419,9 +283,7 @@ def check_family_maximality(a: int, b: int, k: int, n: int) -> CheckResult:
                     "margin": STRICT_MARGIN,
                 },
             )
-    return CheckResult(
-        "family-maximality",
-        params,
+    return result(
         "pass",
         {
             "classes": len(reps),
@@ -463,6 +325,52 @@ def _shape_off(g: Graph, expected_min_degree: int) -> bool:
     return not g.is_connected() or g.min_degree() != expected_min_degree
 
 
+def _sharpness_core(
+    result: partial,
+    g: Graph,
+    route: str,
+    fparams: FactorParams,
+    metrics: dict,
+    edges: int | None = None,
+    block_metric: bool = False,
+    labels: tuple[str, str] = ("", ""),
+) -> tuple[CheckResult | None, DeficiencyCertificate | None, bool]:
+    """The sharpness checks' shared assertions on the distinguished member
+    g, in order: g is connected with minimum degree exactly a+k; g has
+    `edges` edges, when given; the set _sharpness_certificate names is
+    the clique block S = {0..a+k-1} with deficiency exactly 1.  Returns
+    (failure or None, certificate, swept).
+
+    A failure reports metrics, plus delta when the shape is off.
+    block_metric adds the block's own deficiency to metrics before the
+    certificate assertion; labels[not swept] notes a certificate failure."""
+    s_block = tuple(range(fparams.a + fparams.k))
+    cert, swept, notes = None, False, ""
+    if _shape_off(g, len(s_block)):
+        metrics = {**metrics, "delta": g.min_degree()}
+        kind, fields = "hypothesis-shape-mismatch", {"expected_min_degree": len(s_block)}
+    elif edges is not None and _edge_count_off(g.edge_count, edges):
+        kind, fields = "edge-count-mismatch", {"expected": edges}
+    else:
+        cert, swept = _sharpness_certificate(g, route, fparams)
+        if block_metric:
+            metrics["block_deficiency"] = certificate_at(g, route, fparams, s_block).deficiency
+        if not _certificate_off(cert, s_block, 1):
+            return None, cert, swept
+        kind, notes = "certificate-mismatch", labels[not swept]
+        fields = {
+            "a": fparams.a,
+            "b": fparams.b,
+            "k": fparams.k,
+            "route": route,
+            "expected_s_set": list(s_block),
+            "expected_deficiency": 1,
+            "got": None if cert is None else cert.to_json(),
+        }
+    counterexample = {"kind": kind, "graph": serialize_graph(g), **fields}
+    return result("fail", metrics, counterexample=counterexample, notes=notes), cert, swept
+
+
 def check_edge_count_sharpness(a: int, b: int, k: int, n: int) -> CheckResult:
     """The distinguished member is connected with minimum degree exactly
     a+k, sits one edge below the size threshold C(n-b-1,2) + ab + 2a +
@@ -470,71 +378,24 @@ def check_edge_count_sharpness(a: int, b: int, k: int, n: int) -> CheckResult:
     violates with deficiency exactly 1.  Uses the full subset-sweep
     decider when it accepts n, the fixed certificate route otherwise."""
     factor_params = route_params("integral", a, b, k)
-    params = {"a": a, "b": b, "k": k, "n": n}
+    result = partial(CheckResult, "edge-count-sharpness", {"a": a, "b": b, "k": k, "n": n})
     need = size_min_n(a, b, k)
     if n < need:
-        return _not_met("edge-count-sharpness", params, need, "size threshold claim")
+        return _not_met(result, need, "size threshold claim")
     fp = ExtremalParams(a, b, k, n)
     g = extremal_graph(fp)
     formula = extremal_edge_count(fp)
-    threshold = formula + 1
-    actual = g.edge_count
-    if _shape_off(g, a + k):
-        return CheckResult(
-            "edge-count-sharpness",
-            params,
-            "fail",
-            {"edge_count": actual, "threshold": threshold, "delta": g.min_degree()},
-            counterexample={
-                "kind": "hypothesis-shape-mismatch",
-                "graph": serialize_graph(g),
-                "expected_min_degree": a + k,
-            },
-        )
-    if _edge_count_off(actual, formula):
-        return CheckResult(
-            "edge-count-sharpness",
-            params,
-            "fail",
-            {"edge_count": actual, "threshold": threshold},
-            counterexample={
-                "kind": "edge-count-mismatch",
-                "graph": serialize_graph(g),
-                "expected": formula,
-            },
-        )
-    s_block = tuple(range(a + k))
-    cert, swept = _sharpness_certificate(g, "integral", factor_params)
-    route = "subset-sweep decider" if swept else "fixed-certificate route"
-    if _certificate_off(cert, s_block, 1):
-        return CheckResult(
-            "edge-count-sharpness",
-            params,
-            "fail",
-            {"edge_count": actual, "threshold": threshold},
-            counterexample={
-                "kind": "certificate-mismatch",
-                "graph": serialize_graph(g),
-                "a": a,
-                "b": b,
-                "k": k,
-                "expected_s_set": list(s_block),
-                "expected_deficiency": 1,
-                "got": None if cert is None else cert.to_json(),
-            },
-            notes=route,
-        )
-    return CheckResult(
-        "edge-count-sharpness",
-        params,
+    metrics = {"edge_count": g.edge_count, "threshold": formula + 1}
+    labels = ("subset-sweep decider", "fixed-certificate route")
+    failure, cert, swept = _sharpness_core(
+        result, g, "integral", factor_params, metrics, edges=formula, labels=labels
+    )
+    if failure:
+        return failure
+    return result(
         "pass",
-        {
-            "edge_count": actual,
-            "threshold": threshold,
-            "deficiency": cert.deficiency,
-            "t_size": len(cert.t_set),
-        },
-        notes=f"{route}; violating set is the joined clique block",
+        {**metrics, "deficiency": cert.deficiency, "t_size": len(cert.t_set)},
+        notes=f"{labels[not swept]}; violating set is the joined clique block",
     )
 
 
@@ -606,19 +467,17 @@ def check_perron_system(a: int, b: int, k: int, n: int) -> CheckResult:
     FactorParams(a, b, k)  # validates the shape
     if a < 2:
         raise ValueError(f"the Perron system coordinates need a >= 2, got a={a}")
-    params = {"a": a, "b": b, "k": k, "n": n}
+    result = partial(CheckResult, "perron-system", {"a": a, "b": b, "k": k, "n": n})
     need = bracket_min_n(a, b, k)
     if n < need:
-        return _not_met("perron-system", params, need, "radius location")
+        return _not_met(result, need, "radius location")
     fp = ExtremalParams(a, b, k, n)
     if n - 2 * a - b - k < 1:
         raise ValueError("the untouched clique class is empty at this order")
     g = extremal_graph(fp)
     metrics = _perron_metrics(g, a, b, k, n)
     if _perron_off(metrics, RESIDUAL_TOL, RATIO_TOL):
-        return CheckResult(
-            "perron-system",
-            params,
+        return result(
             "fail",
             metrics,
             counterexample={
@@ -632,7 +491,7 @@ def check_perron_system(a: int, b: int, k: int, n: int) -> CheckResult:
                 "ratio_tol": RATIO_TOL,
             },
         )
-    return CheckResult("perron-system", params, "pass", metrics)
+    return result("pass", metrics)
 
 
 def _verdicts(
@@ -657,13 +516,19 @@ def cross_validate_deciders(n_max: int, param_grid: Iterable) -> CheckResult:
     every k-deletion, exhaustively over connected graphs with n <= n_max
     (n_max <= 7).  Also checks the histogram form of the integral
     deficiency against the direct form on every (graph, deletion set)
-    pair for the integral grid items, on the n <= 5 sub-corpus."""
+    pair for the integral grid items, on the n <= 5 sub-corpus.  An n_max
+    below some item's smallest decidable order a+k+1 is hypothesis_not_met,
+    since that item would be compared on no graph."""
     if not 1 <= n_max <= 7:
         raise ValueError(f"exhaustive cross-validation needs 1 <= n_max <= 7, got {n_max}")
     grid = [((route, *nums), route, route_params(route, *nums)) for route, *nums in param_grid]
     if not grid:
         raise ValueError("empty parameter grid")
     params = {"n_max": n_max, "grid": [list(item) for item, _, _ in grid]}
+    result = partial(CheckResult, "decider-cross-validation", params)
+    need = max(p.a + p.k + 1 for _, _, p in grid)
+    if n_max < need:
+        return _not_met(result, need, "every grid item", order="n_max")
     compared = {"integral": 0, "fractional": 0, "parity": 0}
     skipped = 0
     histogram_pairs = 0
@@ -677,9 +542,7 @@ def cross_validate_deciders(n_max: int, param_grid: Iterable) -> CheckResult:
                     continue
                 cert, definition = _verdicts(g, route, p)
                 if _decider_disagrees(cert, definition):
-                    return CheckResult(
-                        "decider-cross-validation",
-                        params,
+                    return result(
                         "fail",
                         {"graphs": graphs, **compared},
                         counterexample={
@@ -701,9 +564,7 @@ def cross_validate_deciders(n_max: int, param_grid: Iterable) -> CheckResult:
                     for combo in itertools.combinations(range(n), size):
                         histogram_pairs += 1
                         if _histogram_off(g, combo, p):
-                            return CheckResult(
-                                "decider-cross-validation",
-                                params,
+                            return result(
                                 "fail",
                                 {"graphs": graphs, **compared},
                                 counterexample={
@@ -715,15 +576,11 @@ def cross_validate_deciders(n_max: int, param_grid: Iterable) -> CheckResult:
                                     "histogram": integral_deficiency_histogram(g, combo, p),
                                 },
                             )
-    return CheckResult(
-        "decider-cross-validation",
-        params,
+    return result(
         "pass",
         {
             "graphs": graphs,
-            "compared_integral": compared["integral"],
-            "compared_fractional": compared["fractional"],
-            "compared_parity": compared["parity"],
+            **{f"compared_{route}": count for route, count in compared.items()},
             "skipped_too_small": skipped,
             "histogram_identity_pairs": histogram_pairs,
         },
@@ -757,7 +614,9 @@ def check_hong_bound(n_max: int, curve_points: int = 100) -> CheckResult:
     chosen inside the curve's real domain."""
     if not 2 <= n_max <= 7:
         raise ValueError(f"exhaustive bound check needs 2 <= n_max <= 7, got {n_max}")
-    params = {"n_max": n_max, "curve_points": curve_points}
+    if curve_points < 2:
+        raise ValueError(f"the curve check needs curve_points >= 2, got {curve_points}")
+    result = partial(CheckResult, "hong-bound", {"n_max": n_max, "curve_points": curve_points})
     graphs = 0
     equality_cases = 0
     worst_overrun = -math.inf
@@ -770,9 +629,7 @@ def check_hong_bound(n_max: int, curve_points: int = 100) -> CheckResult:
             worst_overrun = max(worst_overrun, lam - bound)
             expected_equal = _hong_tight(g)
             if _hong_off(g, lam, bound):
-                return CheckResult(
-                    "hong-bound",
-                    params,
+                return result(
                     "fail",
                     {"graphs": graphs},
                     counterexample={
@@ -793,9 +650,7 @@ def check_hong_bound(n_max: int, curve_points: int = 100) -> CheckResult:
         for i in range(len(xs) - 1):
             curve_checks += 1
             if _curve_rises(p, q, xs[i], xs[i + 1]):
-                return CheckResult(
-                    "hong-bound",
-                    params,
+                return result(
                     "fail",
                     {"graphs": graphs},
                     counterexample={
@@ -806,9 +661,7 @@ def check_hong_bound(n_max: int, curve_points: int = 100) -> CheckResult:
                         "x_high": xs[i + 1],
                     },
                 )
-    return CheckResult(
-        "hong-bound",
-        params,
+    return result(
         "pass",
         {
             "graphs": graphs,
@@ -840,60 +693,24 @@ def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
     fparams = route_params(kind, a, b, k)
     if target == "spectral-fractional" and b <= a:
         raise ValueError(f"target {target} needs b > a, got a={a}, b={b}")
-    if target == "spectral-fractional-rr" and a != b:
+    rr = target == "spectral-fractional-rr"
+    if rr and a != b:
         raise ValueError(f"target {target} needs a == b, got a={a}, b={b}")
-    if target == "spectral-fractional-rr":
-        need = parity_spectral_min_n(a, k)
-    else:
-        need = spectral_min_n(a, b, k)
+    need = parity_spectral_min_n(a, k) if rr else spectral_min_n(a, b, k)
     params = {"a": a, "b": b, "k": k, "n": n, "target": target}
+    result = partial(CheckResult, "sharpness", params)
     if n < need:
-        return _not_met("sharpness", params, need, f"target {target}")
+        return _not_met(result, need, f"target {target}")
     fp = ExtremalParams(a, b, k, n)
     g = extremal_graph(fp)
     metrics: dict = {"min_n": need, "delta": g.min_degree()}
-    if _shape_off(g, a + k):
-        return CheckResult(
-            "sharpness",
-            params,
-            "fail",
-            metrics,
-            counterexample={
-                "kind": "hypothesis-shape-mismatch",
-                "graph": serialize_graph(g),
-                "expected_min_degree": a + k,
-            },
-        )
-    s_block = tuple(range(a + k))
-    cert, swept = _sharpness_certificate(g, kind, fparams)
-    block = cert
-    if cert is None or cert.s_set != s_block:
-        block = certificate_at(g, kind, fparams, s_block)
-    metrics["block_deficiency"] = block.deficiency
-    if _certificate_off(cert, s_block, 1):
-        return CheckResult(
-            "sharpness",
-            params,
-            "fail",
-            metrics,
-            counterexample={
-                "kind": "certificate-mismatch",
-                "graph": serialize_graph(g),
-                "a": a,
-                "b": b,
-                "k": k,
-                "route": kind,
-                "expected_s_set": list(s_block),
-                "expected_deficiency": 1,
-                "got": None if cert is None else cert.to_json(),
-            },
-        )
+    failure, _, swept = _sharpness_core(result, g, kind, fparams, metrics, block_metric=True)
+    if failure:
+        return failure
     route = "subset-sweep decider" if swept else "fixed certificate"
     if n <= 200:
         metrics["lambda"] = spectral_radius(g).lam
-    return CheckResult(
-        "sharpness",
-        params,
+    return result(
         "pass",
         metrics,
         notes=(
@@ -914,7 +731,7 @@ def check_subgraph_monotonicity(count: int = 200, seed: int = 0) -> CheckResult:
     if count < 1:
         raise ValueError("need count >= 1")
     rng = random.Random(seed)
-    params = {"count": count, "seed": seed}
+    result = partial(CheckResult, "subgraph-monotonicity", {"count": count, "seed": seed})
     min_drop = math.inf
     built = 0
     while built < count:
@@ -939,9 +756,7 @@ def check_subgraph_monotonicity(count: int = 200, seed: int = 0) -> CheckResult:
         lam_sub = spectral_radius(sub).lam
         min_drop = min(min_drop, lam - lam_sub)
         if _not_lowered(lam, lam_sub, PROPERTY_MARGIN):
-            return CheckResult(
-                "subgraph-monotonicity",
-                params,
+            return result(
                 "fail",
                 {"min_drop": min_drop},
                 counterexample={
@@ -951,12 +766,7 @@ def check_subgraph_monotonicity(count: int = 200, seed: int = 0) -> CheckResult:
                     "margin": PROPERTY_MARGIN,
                 },
             )
-    return CheckResult(
-        "subgraph-monotonicity",
-        params,
-        "pass",
-        {"instances": built, "min_drop": min_drop},
-    )
+    return result("pass", {"instances": built, "min_drop": min_drop})
 
 
 def _rotate(g: Graph, u: int, v: int, moved) -> Graph:
@@ -977,7 +787,7 @@ def check_edge_rotation(count: int = 200, seed: int = 0) -> CheckResult:
     if count < 1:
         raise ValueError("need count >= 1")
     rng = random.Random(seed)
-    params = {"count": count, "seed": seed}
+    result = partial(CheckResult, "edge-rotation", {"count": count, "seed": seed})
     min_gain = math.inf
     built = 0
     while built < count:
@@ -997,9 +807,7 @@ def check_edge_rotation(count: int = 200, seed: int = 0) -> CheckResult:
         lam_rot = spectral_radius(_rotate(g, u, v, chosen)).lam
         min_gain = min(min_gain, lam_rot - lam)
         if _not_raised(lam, lam_rot, PROPERTY_MARGIN):
-            return CheckResult(
-                "edge-rotation",
-                params,
+            return result(
                 "fail",
                 {"instances": built, "min_gain": min_gain},
                 counterexample={
@@ -1011,12 +819,7 @@ def check_edge_rotation(count: int = 200, seed: int = 0) -> CheckResult:
                     "margin": PROPERTY_MARGIN,
                 },
             )
-    return CheckResult(
-        "edge-rotation",
-        params,
-        "pass",
-        {"instances": built, "min_gain": min_gain},
-    )
+    return result("pass", {"instances": built, "min_gain": min_gain})
 
 
 def _candidate_fails(cand: dict, r: int, k: int) -> bool:
@@ -1041,6 +844,10 @@ def _candidates_stand(candidates: list[dict], r: int, k: int) -> bool:
 
 class _BudgetExhausted(Exception):
     pass
+
+
+def _non_edges(g: Graph) -> list[tuple[int, int]]:
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
 
 
 def explore_conjecture(r: int, k: int, n: int, budget: int, seed: int = 0) -> CheckResult:
@@ -1069,6 +876,7 @@ def explore_conjecture(r: int, k: int, n: int, budget: int, seed: int = 0) -> Ch
     lam_f = spectral_radius(distinguished).lam
     threshold = parity_spectral_min_n(r, k)
     params = {"r": r, "k": k, "n": n, "budget": budget, "seed": seed}
+    result = partial(CheckResult, "conjecture-explorer", params)
     rng = random.Random(seed)
 
     state = {"evals": 0}
@@ -1120,12 +928,7 @@ def explore_conjecture(r: int, k: int, n: int, budget: int, seed: int = 0) -> Ch
         screen(g, evaluate(g).lam)
 
     try:
-        non_edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if not distinguished.has_edge(u, v)
-        ]
+        non_edges = _non_edges(distinguished)
         for u, v in non_edges:
             stats["phase_a"] += 1
             consider(distinguished.with_edge(u, v))
@@ -1144,27 +947,20 @@ def explore_conjecture(r: int, k: int, n: int, budget: int, seed: int = 0) -> Ch
                     screen(g, report.lam)
                     break
                 x = report.perron
-                best = None
-                best_val = -math.inf
-                for u in range(n):
-                    for v in range(u + 1, n):
-                        if not g.has_edge(u, v) and x[u] * x[v] > best_val:
-                            best_val = x[u] * x[v]
-                            best = (u, v)
-                if best is None:
+                pairs = _non_edges(g)
+                if not pairs:
                     break
-                g = g.with_edge(*best)
+                g = g.with_edge(*max(pairs, key=lambda e: x[e[0]] * x[e[1]]))
                 stats["phase_c_climbs"] += 1
     except _BudgetExhausted:
         pass
 
+    metrics = {**stats, "evaluations": state["evals"], "candidates": len(candidates)}
     for cand in candidates:
         if _candidate_fails(cand, r, k):
-            return CheckResult(
-                "conjecture-explorer",
-                params,
+            return result(
                 "fail",
-                {**stats, "evaluations": state["evals"], "candidates": len(candidates)},
+                metrics,
                 counterexample={
                     "kind": "candidate-revalidation-failure",
                     "r": r,
@@ -1174,16 +970,9 @@ def explore_conjecture(r: int, k: int, n: int, budget: int, seed: int = 0) -> Ch
                 notes="a reported candidate did not re-validate from serialization",
             )
 
-    return CheckResult(
-        "conjecture-explorer",
-        params,
+    return result(
         "pass",
-        {
-            **stats,
-            "evaluations": state["evals"],
-            "candidates": len(candidates),
-            "lambda_family": lam_f,
-        },
+        {**metrics, "lambda_family": lam_f},
         counterexample={"kind": "explorer-candidates", "r": r, "k": k, "candidates": candidates}
         if candidates
         else None,
@@ -1351,38 +1140,21 @@ def battery_plan(level: str = "quick", seed: int = 0) -> list[tuple[str, dict]]:
         hong_n = 6
         prop_count = 200
         explorer = {"r": 2, "k": 0, "n": 12, "budget": 10000, "seed": seed}
-    for a, b, kk in bracket_grid:
-        n0 = bracket_min_n(a, b, kk)
-        plan.append(("family-radius-bracket", {"a": a, "b": b, "k": kk, "n": n0}))
-        plan.append(("family-radius-bracket", {"a": a, "b": b, "k": kk, "n": n0 + 5}))
-    for a, b, kk in maximality_grid:
-        plan.append(
-            ("family-maximality", {"a": a, "b": b, "k": kk, "n": maximality_min_n(a, b, kk)})
-        )
-    for a, b, kk in sharp_edge_grid:
-        n0 = size_min_n(a, b, kk)
-        plan.append(("edge-count-sharpness", {"a": a, "b": b, "k": kk, "n": n0}))
-        plan.append(("edge-count-sharpness", {"a": a, "b": b, "k": kk, "n": n0 + 5}))
-    for a, b, kk in perron_grid:
-        n0 = bracket_min_n(a, b, kk)
-        plan.append(("perron-system", {"a": a, "b": b, "k": kk, "n": n0}))
-        plan.append(("perron-system", {"a": a, "b": b, "k": kk, "n": n0 + 3}))
+    for name, grid, min_n, offsets in (
+        ("family-radius-bracket", bracket_grid, bracket_min_n, (0, 5)),
+        ("family-maximality", maximality_grid, maximality_min_n, (0,)),
+        ("edge-count-sharpness", sharp_edge_grid, size_min_n, (0, 5)),
+        ("perron-system", perron_grid, bracket_min_n, (0, 3)),
+    ):
+        for a, b, kk in grid:
+            for extra in offsets:
+                plan.append((name, {"a": a, "b": b, "k": kk, "n": min_n(a, b, kk) + extra}))
     plan.append(
         ("decider-cross-validation", {"n_max": cross_n, "param_grid": cross_items})
     )
     plan.append(("hong-bound", {"n_max": hong_n}))
-    plan.append(
-        ("sharpness", {"a": 1, "b": 2, "k": 0, "n": spectral_min_n(1, 2, 0), "target": "spectral-integral"})
-    )
-    plan.append(
-        ("sharpness", {"a": 1, "b": 2, "k": 0, "n": spectral_min_n(1, 2, 0), "target": "spectral-fractional"})
-    )
-    plan.append(
-        ("sharpness", {"a": 2, "b": 2, "k": 0, "n": parity_spectral_min_n(2, 0), "target": "spectral-fractional-rr"})
-    )
-    plan.append(
-        ("sharpness", {"a": 2, "b": 2, "k": 0, "n": spectral_min_n(2, 2, 0), "target": "spectral-fractional-general"})
-    )
+    for target, (a, b, kk, n) in _SHARPNESS_INSTANCES.items():
+        plan.append(("sharpness", {"a": a, "b": b, "k": kk, "n": n, "target": target}))
     plan.append(("subgraph-monotonicity", {"count": prop_count, "seed": seed}))
     plan.append(("edge-rotation", {"count": prop_count, "seed": seed + 1}))
     plan.append(("conjecture-explorer", explorer))

@@ -217,6 +217,22 @@ def test_decide_csv_and_text(capsys, monkeypatch):
     ]
 
 
+def test_decide_streams_records_before_a_bad_graph(capsys, monkeypatch):
+    # K_3 is below the (2, 3, 1) route's smallest order; K_5's record is
+    # already out when it aborts the run
+    code, out, err = run_cli(
+        ["decide", "--a", "2", "--b", "3", "--k", "1"],
+        capsys,
+        stdin=K5 + "\nBw\n",
+        monkeypatch=monkeypatch,
+    )
+    assert code == 2
+    assert "error:" in err
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"critical": True, "certificate": None}
+    ]
+
+
 def test_fractional_verb(capsys, monkeypatch):
     # C_4 is fractionally (2, 2, 0)-critical; K_{1,3} is not
     code, out, _ = run_cli(

@@ -13,18 +13,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factor_spectra.families import ExtremalParams, extremal_graph
 from factor_spectra.graphs import (
     Graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    deserialize_graph,
     disjoint_union,
     empty_graph,
     enumerate_graphs,
+    isomorphic,
     join,
     parse_edge_list,
     parse_graph6,
     path_graph,
+    serialize_graph,
     to_dot,
     to_edge_list,
     to_graph6,
@@ -233,3 +237,47 @@ class TestEnumeration:
         assert first[1] == Graph.from_edges(3, [(0, 1)])
         assert first[2] == Graph.from_edges(3, [(0, 2)])
         assert first[3] == Graph.from_edges(3, [(0, 1), (0, 2)])
+
+
+# -- counterexample serialization ------------------------------------------------
+
+
+def test_serialize_round_trip_both_formats():
+    g = cycle_graph(7)
+    assert deserialize_graph(serialize_graph(g)) == g
+    big = complete_graph(70)  # beyond the graph6 cap, falls back to edge-list text
+    d = serialize_graph(big)
+    assert d["format"] == "edge-list"
+    assert deserialize_graph(d) == big
+
+
+# -- isomorphism helper -------------------------------------------------------------
+
+
+def test_isomorphic_basic():
+    assert isomorphic(cycle_graph(5), cycle_graph(5))
+    assert not isomorphic(cycle_graph(6), path_graph(6))
+    assert not isomorphic(cycle_graph(5), cycle_graph(6))
+    # C_6 plus its three long diagonals is K_{3,3} under the even/odd split
+    hexagon = cycle_graph(6).with_edge(0, 3).with_edge(1, 4).with_edge(2, 5)
+    assert isomorphic(hexagon, complete_bipartite(3, 3))
+
+
+def test_isomorphic_relabeled_family_member():
+    fp = ExtremalParams(2, 3, 0, 11)
+    g = extremal_graph(fp)
+    # swap two labels by rebuilding from a permuted edge list
+    perm = list(range(g.n))
+    perm[0], perm[g.n - 1] = perm[g.n - 1], perm[0]
+    h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert isomorphic(g, h)
+    assert not isomorphic(g, g.with_edge(fp.t1, fp.t1 + 1))
+
+
+def test_isomorphic_same_degree_sequence_nonisomorphic():
+    # two 3-regular graphs on 6 vertices: K_{3,3} is triangle-free, the
+    # prism is not, and refinement plus backtracking must separate them
+    prism = Graph.from_edges(
+        6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+    )
+    assert not isomorphic(prism, complete_bipartite(3, 3))
