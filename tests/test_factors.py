@@ -9,6 +9,8 @@ corpus.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -187,3 +189,36 @@ class TestValidateWitness:
         assert d["kind"] == "fractional"
         assert all(len(entry) == 4 for entry in d["weights"])
         assert d["degrees"] == [[1, 1]] * 5
+
+
+# Every find_fractional_factor result, as witness JSON or None, over every
+# labelled graph with n <= 5 and seeded random graphs with n = 7-12, in the
+# windows below.  The digest pins the flow's exact witnesses, so a rewrite
+# of the oracle must reproduce them byte for byte, not only the verdicts.
+PINNED_WINDOWS = ((0, 1), (1, 1), (1, 2), (2, 2), (2, 3), (1, 3), (3, 3))
+PINNED_DIGEST = "10c7546e2ea6fe96b6eea19ccd4aac8d4945f55f64b4d8305aa63ec4efa52a46"
+
+
+def _pinned_graphs():
+    for n in range(6):
+        yield from enumerate_graphs(n)
+    rng = random.Random(2024)
+    for _ in range(300):
+        n = rng.randint(7, 12)
+        p = rng.uniform(0.2, 0.9)
+        yield Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        )
+
+
+def test_fractional_witnesses_pinned():
+    digest = hashlib.sha256()
+    found = 0
+    for g in _pinned_graphs():
+        for a, b in PINNED_WINDOWS:
+            w = find_fractional_factor(g, a, b)
+            found += w is not None
+            record = None if w is None else w.to_json()
+            digest.update(json.dumps(record, separators=(",", ":")).encode() + b"\n")
+    assert found > 1000
+    assert digest.hexdigest() == PINNED_DIGEST
