@@ -462,7 +462,7 @@ def critical_by_definition(g: Graph, params: FactorParams, mode: str) -> bool:
         raise ValueError(f"mode must be integral, fractional or parity, got {mode!r}")
     oracle = find_fractional_factor if mode == "fractional" else find_ab_factor
     for kill in itertools.combinations(range(g.n), params.k):
-        if oracle(g.delete_vertices(kill), params.a, params.b) is None:
+        if oracle(g.delete_vertices(kill) if kill else g, params.a, params.b) is None:
             return False
     return True
 

@@ -12,9 +12,15 @@ so decider results can be cross-validated against them:
   become arc lower bounds, removed by the standard excess-supply
   circulation reduction.  Integral flows on the cover average to
   half-integral edge weights, which is lossless for feasibility, so the
-  oracle is exact as well.
+  oracle is exact as well.  A vertex of degree below a answers None before
+  any network is built.  Otherwise the network is flat arc lists without
+  zero-capacity arcs, and one Dinic function with an iterative
+  blocking-flow search solves it.
 
-Witness validation is exact rational arithmetic; no floating point.
+Both kinds of witness are validated in half-units: every weight and degree
+is read as an int count of halves from its numerator and denominator, so
+validation is exact int arithmetic, with no floating point and no Fraction
+sums.
 """
 
 from __future__ import annotations
@@ -55,17 +61,30 @@ class FactorWitness:
         }
 
 
+def _in_halves(x, what: str) -> int:
+    """x counted in half-units, read from its numerator and denominator
+    (ints have both); ValueError unless 2x is an integer."""
+    try:
+        num, den = x.numerator, x.denominator
+    except AttributeError:
+        raise ValueError(f"{what} {x!r} is not a rational number") from None
+    if 2 % den:
+        raise ValueError(f"{what} {x} is not a multiple of 1/2")
+    return num * (2 // den)
+
+
 def validate_witness(g: Graph, witness: FactorWitness, a: int, b: int) -> None:
     """Raise ValueError unless the witness is a genuine fractional or
-    integral [a, b]-factor of g.  All arithmetic exact: integral edges
-    weigh the int 1, so integral witnesses never touch Fraction."""
+    integral [a, b]-factor of g.  Every weight and degree is read as a
+    whole number of half-units, so the check is exact int arithmetic and
+    rejects weights whose denominator does not divide 2."""
     if witness.kind == "integral":
         weighted = ((u, v, 1) for u, v in witness.edges)
     elif witness.kind == "fractional":
         weighted = witness.weights
     else:
         raise ValueError(f"unknown witness kind {witness.kind!r}")
-    deg = [0] * g.n
+    deg = [0] * g.n  # half-units
     seen = set()
     for u, v, w in weighted:
         if not g.has_edge(u, v):
@@ -74,15 +93,20 @@ def validate_witness(g: Graph, witness: FactorWitness, a: int, b: int) -> None:
         if key in seen:
             raise ValueError(f"witness repeats edge ({u},{v})")
         seen.add(key)
-        if not 0 < w <= 1:
+        half = _in_halves(w, f"weight on ({u},{v})")
+        if not 0 < half <= 2:
             raise ValueError(f"weight {w} on ({u},{v}) outside (0, 1]")
-        deg[u] += w
-        deg[v] += w
-    if tuple(deg) != tuple(witness.degrees):
+        deg[u] += half
+        deg[v] += half
+    if len(witness.degrees) != g.n or any(
+        _in_halves(d, "degree") != half for d, half in zip(witness.degrees, deg)
+    ):
         raise ValueError("witness degrees do not match its edges")
     for v in range(g.n):
-        if not a <= deg[v] <= b:
-            raise ValueError(f"vertex {v} has witness degree {deg[v]} not in [{a},{b}]")
+        if not 2 * a <= deg[v] <= 2 * b:
+            raise ValueError(
+                f"vertex {v} has witness degree {Fraction(deg[v], 2)} not in [{a},{b}]"
+            )
 
 
 # -- integral oracle -----------------------------------------------------------
@@ -151,63 +175,72 @@ def find_ab_factor(g: Graph, a: int, b: int) -> FactorWitness | None:
 
 # -- fractional oracle via max-flow -------------------------------------------
 
+# Fraction(h, 2) for the half-unit counts h of graphs with degrees below
+# 32, so that witnesses share these objects instead of normalizing a new
+# Fraction per weight and per degree.
+_HALVES = tuple(Fraction(h, 2) for h in range(64))
 
-class _Dinic:
-    """Max-flow with integer capacities on a small directed graph."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
+def _from_halves(h: int) -> Fraction:
+    return _HALVES[h] if h < len(_HALVES) else Fraction(h, 2)
 
-    def add(self, u: int, v: int, cap: int) -> int:
-        """Add arc u->v with the given capacity; returns the arc index."""
-        i = len(self.to)
-        self.head[u].append(i)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(i + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return i
 
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
+def _max_flow(head: list[list[int]], to: list[int], cap: list[int], s: int, t: int) -> int:
+    """Dinic's max-flow from s to t on integer capacities, updating the
+    residual capacities `cap` in place; arc i runs to to[i], its reverse
+    is i ^ 1, and head[u] lists u's arcs in insertion order.
+
+    The blocking-flow search is an explicit-stack depth-first walk.  It
+    tries arcs in list order and keeps each node's arc pointer across
+    augmentations, so it augments along the same paths, in the same
+    order, as the textbook recursive search."""
+    n = len(head)
+    flow = 0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            nxt = level[u] + 1
+            for i in head[u]:
+                v = to[i]
+                if cap[i] and level[v] < 0:
+                    level[v] = nxt
+                    queue.append(v)
+        if level[t] < 0:
+            return flow
+        it = [0] * n
+        path: list[int] = []  # arcs from s to u along the current walk
+        u = s
         while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for i in self.head[u]:
-                    v = self.to[i]
-                    if self.cap[i] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    i = self.head[u][it[u]]
-                    v = self.to[i]
-                    if self.cap[i] > 0 and level[v] == level[u] + 1:
-                        d = dfs(v, min(pushed, self.cap[i]))
-                        if d > 0:
-                            self.cap[i] -= d
-                            self.cap[i ^ 1] += d
-                            return d
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 60)
-                if pushed == 0:
-                    break
+            if u == t:
+                pushed = min(map(cap.__getitem__, path))
                 flow += pushed
+                for i in path:
+                    cap[i] -= pushed
+                    cap[i ^ 1] += pushed
+                # back up to the first saturated arc's tail: every node
+                # before it would walk the same arcs again
+                cut = list(map(cap.__getitem__, path)).index(0)
+                u = to[path[cut] ^ 1]
+                del path[cut:]
+                continue
+            arcs = head[u]
+            want = level[u] + 1
+            for k in range(it[u], len(arcs)):
+                i = arcs[k]
+                if cap[i] and level[to[i]] == want:
+                    it[u] = k
+                    path.append(i)
+                    u = to[i]
+                    break
+            else:
+                # dead end: retire u and advance its parent past the arc to u
+                it[u] = len(arcs)
+                if not path:
+                    break
+                u = to[path.pop() ^ 1]
+                it[u] += 1
 
 
 def find_fractional_factor(g: Graph, a: int, b: int) -> FactorWitness | None:
@@ -216,54 +249,62 @@ def find_fractional_factor(g: Graph, a: int, b: int) -> FactorWitness | None:
     Feasibility on the bipartite double cover is equivalent to fractional
     feasibility on g: any fractional factor doubles to a cover flow, and
     an integral cover flow (which max-flow provides) averages back to a
-    half-integral factor.
+    half-integral factor.  A vertex of degree below a rules out every
+    weighting, so that case returns None before any flow is run.
     """
     if not 0 <= a <= b:
         raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
     n = g.n
+    degrees = g.degrees()
+    if any(d < a for d in degrees):
+        return None
     edges = g.edges()
 
     # node ids: S*=0, T*=1 (excess supply/demand), s=2, t=3,
     # v+ = 4+v, v- = 4+n+v
     sup, dem, s, t = 0, 1, 2, 3
-    din = _Dinic(4 + 2 * n)
-    big = n * b + 1
-    plus = lambda v: 4 + v
-    minus = lambda v: 4 + n + v
-
+    arcs = []
     for v in range(n):
         # original arcs s -> v+ and v- -> t with bounds [a, b]
-        din.add(s, plus(v), b - a)
-        din.add(minus(v), t, b - a)
+        arcs += ((s, 4 + v, b - a), (4 + n + v, t, b - a))
         # lower-bound excess: v+ demands a, v- supplies a
-        din.add(sup, plus(v), a)
-        din.add(minus(v), dem, a)
+        arcs += ((sup, 4 + v, a), (4 + n + v, dem, a))
     # s loses n*a of supply, t gains n*a
-    din.add(sup, t, n * a)
-    din.add(s, dem, n * a)
-    din.add(t, s, big)  # close the circulation
-
-    cover_arcs = []  # (u, v, arc u+ -> v-, arc v+ -> u-)
+    arcs += ((sup, t, n * a), (s, dem, n * a))
+    arcs.append((t, s, n * b + 1))  # close the circulation
     for u, v in edges:
-        i = din.add(plus(u), minus(v), 1)
-        j = din.add(plus(v), minus(u), 1)
-        cover_arcs.append((u, v, i, j))
+        arcs += ((4 + u, 4 + n + v, 1), (4 + v, 4 + n + u, 1))
 
-    need = 2 * n * a
-    if din.max_flow(sup, dem) != need:
+    # flat residual network, zero-capacity arcs left out; arc i runs to
+    # to[i] with residual cap[i], and i ^ 1 is its reverse
+    head: list[list[int]] = [[] for _ in range(4 + 2 * n)]
+    to: list[int] = []
+    cap: list[int] = []
+    for u, v, c in arcs:
+        if c:
+            head[u].append(len(to))
+            head[v].append(len(to) + 1)
+            to += (v, u)
+            cap += (c, 0)
+
+    if _max_flow(head, to, cap, sup, dem) != 2 * n * a:
         return None
 
     weights = []
-    deg = [Fraction(0)] * n
-    for u, v, i, j in cover_arcs:
-        used = (1 - din.cap[i]) + (1 - din.cap[j])  # residual -> used units
+    deg = [0] * n  # half-units
+    first = len(to) - 4 * len(edges)  # edge e's cover arcs: first + 4e and + 2
+    for e, (u, v) in enumerate(edges):
+        i = first + 4 * e
+        used = 2 - cap[i] - cap[i + 2]  # residual -> used units
         if used:
-            w = Fraction(used, 2)
-            weights.append((u, v, w))
-            deg[u] += w
-            deg[v] += w
+            weights.append((u, v, _HALVES[used]))
+            deg[u] += used
+            deg[v] += used
     witness = FactorWitness(
-        kind="fractional", edges=None, weights=tuple(weights), degrees=tuple(deg)
+        kind="fractional",
+        edges=None,
+        weights=tuple(weights),
+        degrees=tuple(map(_from_halves, deg)),
     )
     validate_witness(g, witness, a, b)
     return witness

@@ -147,18 +147,17 @@ class Graph:
             if not 0 <= v < self.n:
                 raise ValueError(f"vertex {v} out of range for n={self.n}")
             kill_mask |= 1 << v
-        keep = [v for v in range(self.n) if not kill_mask >> v & 1]
-        relabel = {v: i for i, v in enumerate(keep)}
+        # shift each killed bit out of every kept row, highest label first
+        # so that the lower labels still to be removed stay in place
+        cuts = [((1 << v) - 1, v) for v in reversed(range(self.n)) if kill_mask >> v & 1]
         rows = []
-        for v in keep:
-            row = 0
-            m = self.adj[v] & ~kill_mask
-            while m:
-                b = m & -m
-                row |= 1 << relabel[b.bit_length() - 1]
-                m ^= b
+        for v, row in enumerate(self.adj):
+            if kill_mask >> v & 1:
+                continue
+            for low, p in cuts:
+                row = row & low | row >> (p + 1) << p
             rows.append(row)
-        return Graph(len(keep), tuple(rows))
+        return Graph(self.n - len(cuts), tuple(rows))
 
     # -- dunder ------------------------------------------------------------
 

@@ -758,7 +758,7 @@ def check_subgraph_monotonicity(count: int = 200, seed: int = 0) -> CheckResult:
         if _not_lowered(lam, lam_sub, PROPERTY_MARGIN):
             return result(
                 "fail",
-                {"min_drop": min_drop},
+                {"instances": built, "min_drop": min_drop},
                 counterexample={
                     "kind": "monotonicity-violation",
                     "graph": serialize_graph(g),

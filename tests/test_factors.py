@@ -9,6 +9,7 @@ corpus.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import random
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+from factor_spectra import factors
 from factor_spectra.factors import (
     FactorWitness,
     find_ab_factor,
@@ -107,6 +109,12 @@ class TestFractionalOracle:
         assert w is not None
         assert w.degrees == (Fraction(2),) * 4
 
+    def test_degrees_past_the_half_table(self):
+        # degree 33 is 66 half-units, past the shared table of halves
+        w = find_fractional_factor(complete_graph(34), 33, 33)
+        assert w is not None
+        assert w.degrees == (Fraction(33),) * 34
+
     def test_star_infeasible(self):
         assert find_fractional_factor(complete_bipartite(1, 3), 1, 2) is None
 
@@ -130,6 +138,16 @@ class TestFractionalOracle:
         for g, a, b in [(cycle_graph(4), 1, 1), (complete_bipartite(3, 3), 1, 1)]:
             assert find_ab_factor(g, a, b) is not None
             assert find_fractional_factor(g, a, b) is not None
+
+    def test_degree_test_answers_without_flow(self, monkeypatch):
+        # a vertex of degree below a rules out every weighting, so the
+        # oracle must answer None before building or running a flow
+        def no_flow(*args):
+            raise AssertionError("flow run despite a vertex of degree < a")
+
+        monkeypatch.setattr(factors, "_max_flow", no_flow)
+        assert find_fractional_factor(path_graph(4), 2, 3) is None
+        assert find_fractional_factor(disjoint_union(empty_graph(1), complete_graph(4)), 1, 1) is None
 
     def test_witness_weights_validate(self):
         rng = random.Random(31)
@@ -180,6 +198,18 @@ class TestValidateWitness:
         with pytest.raises(ValueError):
             validate_witness(path_graph(3), w, 0, 2)
 
+    def test_rejects_weight_off_the_half_grid(self):
+        # fractional witnesses are half-integral: a weight of 1/3 is not
+        # one, even though every degree it gives lies in the window
+        w = FactorWitness(
+            kind="fractional",
+            edges=None,
+            weights=((0, 1, Fraction(1, 3)),),
+            degrees=(Fraction(1, 3), Fraction(1, 3)),
+        )
+        with pytest.raises(ValueError, match="multiple of 1/2"):
+            validate_witness(path_graph(2), w, 0, 1)
+
     def test_json_shapes(self):
         w = find_ab_factor(complete_graph(4), 1, 1)
         d = w.to_json()
@@ -222,3 +252,57 @@ def test_fractional_witnesses_pinned():
             digest.update(json.dumps(record, separators=(",", ":")).encode() + b"\n")
     assert found > 1000
     assert digest.hexdigest() == PINNED_DIGEST
+
+
+def _lp_feasible(g: Graph, a: int, b: int) -> bool:
+    """Whether {0 <= x_e <= 1, a <= sum of x_e at v <= b for every v} has a
+    point, by scipy's LP solver: a route that shares no code with the
+    flow oracle."""
+    from scipy.optimize import linprog
+
+    edges = g.edges()
+    if not edges:
+        return a == 0 or g.n == 0
+    incidence = [[int(v in e) for e in edges] for v in range(g.n)]
+    res = linprog(
+        c=[0] * len(edges),
+        A_ub=incidence + [[-x for x in row] for row in incidence],
+        b_ub=[b] * g.n + [-a] * g.n,
+        bounds=(0, 1),
+        method="highs",
+    )
+    assert res.status in (0, 2), res.message  # solved or proved infeasible
+    return res.status == 0
+
+
+def test_fractional_verdicts_match_linear_programming():
+    pytest.importorskip("scipy")
+    rng = random.Random(41)
+    windows = ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3))
+    feasible = 0
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        p = rng.uniform(0.2, 0.9)
+        g = Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        )
+        a, b = rng.choice(windows)
+        expected = _lp_feasible(g, a, b)
+        assert (find_fractional_factor(g, a, b) is not None) == expected, (g.adj, a, b)
+        feasible += expected
+    assert 50 < feasible < 250
+
+
+def test_oracles_import_nothing_from_criticality():
+    # the oracles are the independent side of every decider cross-check,
+    # so factors.py must not reach the deficiency machinery it checks
+    tree = ast.parse(open(factors.__file__).read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported, "no imports parsed"
+    assert not any("criticality" in name.split(".") for name in imported)

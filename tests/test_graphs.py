@@ -7,6 +7,7 @@ hand-encoded from the format definition (column-major upper triangle,
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -100,6 +101,33 @@ class TestBasics:
             expect = sum(1 for u, v in g.edges() if u not in killed and v not in killed)
             assert h.n == n - len(killed)
             assert h.edge_count == expect
+
+    def test_delete_vertices_matches_relabelling(self):
+        # the row compaction must equal relabelling the survivors through
+        # a dict, on every graph with n <= 5 and every deletion set, and on
+        # random larger graphs with random deletion sets
+        def relabelled(g, kill):
+            killed = set(kill)
+            keep = [v for v in range(g.n) if v not in killed]
+            index = {v: i for i, v in enumerate(keep)}
+            return Graph.from_edges(
+                len(keep),
+                [(index[u], index[v]) for u, v in g.edges() if u in index and v in index],
+            )
+
+        cases = [
+            (g, kill)
+            for n in range(6)
+            for g in enumerate_graphs(n)
+            for size in range(n + 1)
+            for kill in itertools.combinations(range(n), size)
+        ]
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(6, 16)
+            cases.append((random_graph(n, rng.random(), rng), rng.sample(range(n), rng.randint(0, n))))
+        for g, kill in cases:
+            assert g.delete_vertices(kill) == relabelled(g, kill)
 
     def test_delete_vertices_labels_compact(self):
         g = path_graph(5)

@@ -704,6 +704,19 @@ def test_fail_path_counterexample_rechecks(monkeypatch, predicate, check, kind):
     assert revalidate_counterexample(r.counterexample) is False
 
 
+@pytest.mark.parametrize(
+    "predicate, check",
+    [("_not_lowered", check_subgraph_monotonicity), ("_not_raised", check_edge_rotation)],
+)
+def test_perturbation_fail_reports_instances(monkeypatch, predicate, check):
+    # both perturbation suites report how many instances they built, on
+    # their fail path as on their pass path
+    monkeypatch.setattr(harness, predicate, lambda *args: True)
+    r = check(5)
+    assert r.status == "fail"
+    assert r.metrics["instances"] == 1
+
+
 def test_fail_paths_raise_every_registered_kind():
     raised = {kind for _, _, kind in FAIL_PATHS}
     assert raised | {"explorer-candidates"} == set(_COUNTEREXAMPLES)
