@@ -87,7 +87,8 @@ def validate_witness(g: Graph, witness: FactorWitness, a: int, b: int) -> None:
     deg = [0] * g.n  # half-units
     seen = set()
     for u, v, w in weighted:
-        if not g.has_edge(u, v):
+        # range check first: a negative label would index adj from the end
+        if not (0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)):
             raise ValueError(f"witness edge ({u},{v}) not in the graph")
         key = (min(u, v), max(u, v))
         if key in seen:

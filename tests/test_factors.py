@@ -174,6 +174,15 @@ class TestValidateWitness:
         with pytest.raises(ValueError):
             validate_witness(path_graph(3), w, 0, 1)
 
+    def test_rejects_negative_label(self):
+        # (-1, 0) must not pass as an alias of (1, 0) on K_2, which would
+        # turn its one edge into a 2-factor
+        w = FactorWitness(
+            kind="integral", edges=((1, 0), (-1, 0)), weights=None, degrees=(2, 2)
+        )
+        with pytest.raises(ValueError, match="not in the graph"):
+            validate_witness(path_graph(2), w, 2, 2)
+
     def test_rejects_degree_mismatch(self):
         w = FactorWitness(
             kind="integral", edges=((0, 1),), weights=None, degrees=(1, 1, 1)
