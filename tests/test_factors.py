@@ -4,7 +4,9 @@ Ground truths used here are classical small facts: perfect matchings of
 K_4 and C_4, nonexistence of a 2-factor in a star, the half-integral
 weighting of an odd cycle for a = b = 1, and exhaustive agreement of the
 two oracles with each other (integral implies fractional) on the small
-corpus.
+corpus.  The fractional verdicts are also checked against scipy's LP
+solver on the defining polytope, and a sha256 digest pins every
+fractional witness byte for byte.
 """
 
 from __future__ import annotations
@@ -216,7 +218,7 @@ class TestValidateWitness:
             weights=((0, 1, Fraction(1, 3)),),
             degrees=(Fraction(1, 3), Fraction(1, 3)),
         )
-        with pytest.raises(ValueError, match="multiple of 1/2"):
+        with pytest.raises(ValueError, match="not exactly 1/2 or 1"):
             validate_witness(path_graph(2), w, 0, 1)
 
     def test_json_shapes(self):
