@@ -11,6 +11,7 @@ check's fail path is forced once to show its counterexample re-checks.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -368,6 +369,26 @@ def test_explorer_deterministic_per_seed():
     a = explore_conjecture(2, 0, 8, budget=120, seed=42).to_json()
     b = explore_conjecture(2, 0, 8, budget=120, seed=42).to_json()
     assert a == b
+
+
+# sha256 of the sorted-key JSON of explore_conjecture(2, 0, 12, 1500, seed),
+# criterion 11's shape at the benchmark's budget
+EXPLORER_DIGESTS = {
+    0: "1f070e09a06475851ea7f78a8843521678f5b9f1eea6a26ef4954427785f8e6a",
+    1: "82b5c3890a3ebbdc7510315d84d7be312c38d2768a6aa1f682d2641d3684f6d8",
+    2: "4ce868441b29c1fff35f7cb0b7847f314793b099345cd79a632f5b7cd0e58d84",
+    3: "5f260bd123b9952b39a3ca4a9f786c5f9f35db399012d254f295f20e5ea6d32a",
+    4: "1f157f2735da93890b327195447b18736a8e89351b86ff764f45710064d6a361",
+}
+
+
+def _digest(result: CheckResult) -> str:
+    return hashlib.sha256(json.dumps(result.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(EXPLORER_DIGESTS))
+def test_explorer_output_pinned(seed):
+    assert _digest(explore_conjecture(2, 0, 12, 1500, seed)) == EXPLORER_DIGESTS[seed]
 
 
 def test_explorer_candidates_revalidate():

@@ -7,12 +7,14 @@ against numpy's symmetric eigensolver as an independent oracle.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
 
+from factor_spectra.families import ExtremalParams, extremal_graph
 from factor_spectra.graphs import (
     Graph,
     complete_bipartite,
@@ -21,6 +23,7 @@ from factor_spectra.graphs import (
     disjoint_union,
     empty_graph,
     path_graph,
+    random_connected_graph,
 )
 from factor_spectra.spectral import (
     ConvergenceError,
@@ -43,6 +46,27 @@ def numpy_radius(g: Graph) -> float:
     for u, v in g.edges():
         a[u, v] = a[v, u] = 1.0
     return float(np.max(np.linalg.eigvalsh(a))) if g.n else 0.0
+
+
+def explorer_graphs(r: int = 2, k: int = 0, n: int = 12) -> tuple[Graph, list[Graph]]:
+    """The distinguished member F and the graphs of the explorer's phases A
+    (F plus one edge) and B (F with one edge swapped), at criterion 11's
+    shape by default."""
+    f = extremal_graph(ExtremalParams(r, r, k, n))
+    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not f.has_edge(u, v)]
+    out = [f.with_edge(u, v) for u, v in non_edges]
+    for eu, ev in f.edges():
+        base = f.without_edge(eu, ev)
+        out.extend(base.with_edge(fu, fv) for fu, fv in non_edges)
+    return f, out
+
+
+def report_corpus() -> list[Graph]:
+    """Explorer, sparse and seeded random graphs, 1113 in all."""
+    f, screened = explorer_graphs()
+    rng = random.Random(2024)
+    rand = [random_connected_graph(rng, rng.randint(2, 30), rng.uniform(0.1, 0.9)) for _ in range(60)]
+    return [f, *screened, *(path_graph(n) for n in range(1, 41)), *rand]
 
 
 class TestSpectralRadius:
@@ -107,6 +131,22 @@ class TestSpectralRadius:
             g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
             rep = spectral_radius(g)
             assert rep.lam == pytest.approx(numpy_radius(g), abs=1e-8)
+
+    def test_explorer_graphs_against_numpy_oracle(self):
+        _, graphs = explorer_graphs()
+        for g in graphs[::7]:
+            assert spectral_radius(g).lam == pytest.approx(numpy_radius(g), abs=1e-8)
+
+    def test_reports_pinned(self):
+        # every float of every report, bit for bit: a change to the
+        # iteration that moves any lam, perron entry, residual or
+        # iteration count moves this digest
+        digest = hashlib.sha256()
+        for g in report_corpus():
+            digest.update(repr(spectral_radius(g)).encode())
+        assert digest.hexdigest() == (
+            "64a590e650751f76fe84f82c31a335295aef56e217bca53db9548974eff6b64e"
+        )
 
     def test_degree_bounds_property(self):
         rng = random.Random(3)
