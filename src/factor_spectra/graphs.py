@@ -83,6 +83,7 @@ class Graph:
         return min(row.bit_count() for row in self.adj)
 
     def has_edge(self, u: int, v: int) -> bool:
+        """Unchecked, for speed: u and v must lie in 0..n-1."""
         return bool(self.adj[u] >> v & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -132,6 +133,8 @@ class Graph:
         return Graph(self.n, tuple(rows))
 
     def without_edge(self, u: int, v: int) -> "Graph":
+        if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
+            raise ValueError(f"bad edge ({u},{v}) for n={self.n}")
         if not self.has_edge(u, v):
             raise ValueError(f"edge ({u},{v}) not present")
         rows = list(self.adj)

@@ -86,7 +86,7 @@ from .graphs import (
     random_connected_graph,
     serialize_graph,
 )
-from .spectral import hong_bound, hong_bound_formula, spectral_radius
+from .spectral import hong_bound, hong_bound_formula, radius_unless_below, spectral_radius
 
 EIG_TOL = 1e-8
 RESIDUAL_TOL = 1e-7
@@ -720,53 +720,80 @@ def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
     )
 
 
+def _perturbation_suite(
+    check_id: str, kind: str, metric: str, instance: Callable, count: int, seed: int
+) -> CheckResult:
+    """The driver of both perturbation suites.  `instance(rng)` builds one
+    seeded instance and returns None to discard it, or (g, value, violated,
+    fields): the value is tracked as a running minimum under `metric`,
+    and a violation fails the check with a `kind` counterexample on g
+    that carries `fields`."""
+    if count < 1:
+        raise ValueError("need count >= 1")
+    rng = random.Random(seed)
+    result = partial(CheckResult, check_id, {"count": count, "seed": seed})
+    least = math.inf
+    built = 0
+    while built < count:
+        drawn = instance(rng)
+        if drawn is None:
+            continue
+        g, value, violated, fields = drawn
+        built += 1
+        least = min(least, value)
+        if violated:
+            return result(
+                "fail",
+                {"instances": built, metric: least},
+                counterexample={
+                    "kind": kind,
+                    "graph": serialize_graph(g),
+                    **fields,
+                    "margin": PROPERTY_MARGIN,
+                },
+            )
+    return result("pass", {"instances": built, metric: least})
+
+
 def _not_lowered(lam: float, lam_sub: float, margin: float) -> bool:
     return lam_sub >= lam - margin
+
+
+def _monotonicity_instance(rng: random.Random) -> tuple | None:
+    n = rng.randint(4, 9)
+    g = random_connected_graph(rng, n, rng.uniform(0.4, 0.8))
+    edges = g.edges()
+    rng.shuffle(edges)
+    goal = rng.randint(1, max(1, len(edges) // 3))
+    sub = g
+    removed = []
+    for u, v in edges:
+        if len(removed) == goal:
+            break
+        trial = sub.without_edge(u, v)
+        if trial.is_connected():
+            sub = trial
+            removed.append((u, v))
+    if not removed:
+        return None
+    lam = spectral_radius(g).lam
+    lam_sub = spectral_radius(sub).lam
+    violated = _not_lowered(lam, lam_sub, PROPERTY_MARGIN)
+    return g, lam - lam_sub, violated, {"removed": [list(e) for e in removed]}
 
 
 def check_subgraph_monotonicity(count: int = 200, seed: int = 0) -> CheckResult:
     """Deleting edges from a connected graph, while keeping it connected,
     strictly lowers the spectral radius (margin 1e-10).  Randomized
     instances, deterministic per seed."""
-    if count < 1:
-        raise ValueError("need count >= 1")
-    rng = random.Random(seed)
-    result = partial(CheckResult, "subgraph-monotonicity", {"count": count, "seed": seed})
-    min_drop = math.inf
-    built = 0
-    while built < count:
-        n = rng.randint(4, 9)
-        g = random_connected_graph(rng, n, rng.uniform(0.4, 0.8))
-        edges = g.edges()
-        rng.shuffle(edges)
-        goal = rng.randint(1, max(1, len(edges) // 3))
-        sub = g
-        removed = []
-        for u, v in edges:
-            if len(removed) == goal:
-                break
-            trial = sub.without_edge(u, v)
-            if trial.is_connected():
-                sub = trial
-                removed.append((u, v))
-        if not removed:
-            continue
-        built += 1
-        lam = spectral_radius(g).lam
-        lam_sub = spectral_radius(sub).lam
-        min_drop = min(min_drop, lam - lam_sub)
-        if _not_lowered(lam, lam_sub, PROPERTY_MARGIN):
-            return result(
-                "fail",
-                {"instances": built, "min_drop": min_drop},
-                counterexample={
-                    "kind": "monotonicity-violation",
-                    "graph": serialize_graph(g),
-                    "removed": [list(e) for e in removed],
-                    "margin": PROPERTY_MARGIN,
-                },
-            )
-    return result("pass", {"instances": built, "min_drop": min_drop})
+    return _perturbation_suite(
+        "subgraph-monotonicity",
+        "monotonicity-violation",
+        "min_drop",
+        _monotonicity_instance,
+        count,
+        seed,
+    )
 
 
 def _rotate(g: Graph, u: int, v: int, moved) -> Graph:
@@ -779,47 +806,32 @@ def _not_raised(lam: float, lam_rot: float, margin: float) -> bool:
     return lam_rot <= lam + margin
 
 
+def _rotation_instance(rng: random.Random) -> tuple | None:
+    n = rng.randint(4, 9)
+    g = random_connected_graph(rng, n, rng.uniform(0.35, 0.75))
+    report = spectral_radius(g)
+    x = report.perron
+    u, v = rng.sample(range(n), 2)
+    if x[v] > x[u]:
+        u, v = v, u
+    movable = [w for w in g.neighbors(v) if w != u and not g.has_edge(u, w)]
+    if not movable:
+        return None
+    chosen = rng.sample(movable, rng.randint(1, len(movable)))
+    lam = report.lam
+    lam_rot = spectral_radius(_rotate(g, u, v, chosen)).lam
+    violated = _not_raised(lam, lam_rot, PROPERTY_MARGIN)
+    return g, lam_rot - lam, violated, {"u": u, "v": v, "moved": chosen}
+
+
 def check_edge_rotation(count: int = 200, seed: int = 0) -> CheckResult:
     """Rotating edges from v to a vertex u with Perron entry >= that of v
     strictly raises the spectral radius (margin 1e-10).  Instances are
     built per the statement: the moved endpoints are neighbors of v that
     are not u and not adjacent to u.  Deterministic per seed."""
-    if count < 1:
-        raise ValueError("need count >= 1")
-    rng = random.Random(seed)
-    result = partial(CheckResult, "edge-rotation", {"count": count, "seed": seed})
-    min_gain = math.inf
-    built = 0
-    while built < count:
-        n = rng.randint(4, 9)
-        g = random_connected_graph(rng, n, rng.uniform(0.35, 0.75))
-        report = spectral_radius(g)
-        x = report.perron
-        u, v = rng.sample(range(n), 2)
-        if x[v] > x[u]:
-            u, v = v, u
-        movable = [w for w in g.neighbors(v) if w != u and not g.has_edge(u, w)]
-        if not movable:
-            continue
-        chosen = rng.sample(movable, rng.randint(1, len(movable)))
-        built += 1
-        lam = report.lam
-        lam_rot = spectral_radius(_rotate(g, u, v, chosen)).lam
-        min_gain = min(min_gain, lam_rot - lam)
-        if _not_raised(lam, lam_rot, PROPERTY_MARGIN):
-            return result(
-                "fail",
-                {"instances": built, "min_gain": min_gain},
-                counterexample={
-                    "kind": "rotation-violation",
-                    "graph": serialize_graph(g),
-                    "u": u,
-                    "v": v,
-                    "moved": chosen,
-                    "margin": PROPERTY_MARGIN,
-                },
-            )
-    return result("pass", {"instances": built, "min_gain": min_gain})
+    return _perturbation_suite(
+        "edge-rotation", "rotation-violation", "min_gain", _rotation_instance, count, seed
+    )
 
 
 def _candidate_fails(cand: dict, r: int, k: int) -> bool:
@@ -859,7 +871,10 @@ def explore_conjecture(r: int, k: int, n: int, budget: int, seed: int = 0) -> Ch
     the distinguished member, single edge swaps on it, then random
     connected starts hill-climbed by adding the non-edge with the
     largest Perron entry product.  The budget counts spectral radius
-    evaluations.  Any candidate is reported with its full certificate and
+    evaluations, full solves and screens alike: phases A and B only compare
+    the radius with the family's, so they screen with
+    `radius_unless_below`, while phase C climbs on converged Perron
+    vectors.  Any candidate is reported with its full certificate and
     re-validated from serialization before the result is returned; a
     candidate that fails re-validation fails the check.
 
@@ -892,11 +907,16 @@ def explore_conjecture(r: int, k: int, n: int, budget: int, seed: int = 0) -> Ch
     }
     candidates: list[dict] = []
 
-    def evaluate(g: Graph):
+    # (r, k)-criticality is an isomorphism invariant, so a graph
+    # isomorphic to one already found critical is critical without a
+    # sweep.  Refutations are not reused: each candidate carries its own
+    # labelled certificate.
+    critical: list[Graph] = []
+
+    def spend() -> None:
         if state["evals"] >= budget:
             raise _BudgetExhausted
         state["evals"] += 1
-        return spectral_radius(g)
 
     def screen(g: Graph, lam: float) -> None:
         """Record g if it qualifies and is a candidate."""
@@ -906,9 +926,13 @@ def explore_conjecture(r: int, k: int, n: int, budget: int, seed: int = 0) -> Ch
         if g.edge_count == distinguished.edge_count and isomorphic(g, distinguished):
             stats["isomorphic_excluded"] += 1
             return
+        if any(isomorphic(g, h) for h in critical):
+            stats["critical_qualifying"] += 1
+            return
         cert = is_rk_critical(g, r, k)
         if cert is None:
             stats["critical_qualifying"] += 1
+            critical.append(g)
             return
         candidates.append(
             {
@@ -925,7 +949,13 @@ def explore_conjecture(r: int, k: int, n: int, budget: int, seed: int = 0) -> Ch
         seen.add(g.adj)
         if not g.is_connected() or g.min_degree() < r + k:
             return
-        screen(g, evaluate(g).lam)
+        spend()
+        # only lam is read here, so an iterate whose Collatz-Wielandt bound
+        # already lies below the screen's threshold settles g; the float
+        # radius would have failed `lam < lam_f - STRICT_MARGIN` too
+        report = radius_unless_below(g, lam_f - 2 * STRICT_MARGIN)
+        if report is not None:
+            screen(g, report.lam)
 
     try:
         non_edges = _non_edges(distinguished)
@@ -942,7 +972,8 @@ def explore_conjecture(r: int, k: int, n: int, budget: int, seed: int = 0) -> Ch
             g = random_connected_graph(rng, n, 0.4, min_degree=r + k)
             while True:
                 seen.add(g.adj)
-                report = evaluate(g)
+                spend()
+                report = spectral_radius(g)
                 if report.lam >= lam_f - STRICT_MARGIN:
                     screen(g, report.lam)
                     break
@@ -993,23 +1024,35 @@ def _hong_evidence(ce: dict) -> tuple:
     return g, spectral_radius(g).lam, hong_bound(g)
 
 
+def _labels_in_range(g: Graph, labels) -> bool:
+    return all(0 <= w < g.n for w in labels)
+
+
 def _monotonicity_evidence(ce: dict) -> tuple:
+    """An instance that names a vertex outside the graph gets a reduced
+    radius of -inf, so it never counts."""
     g = deserialize_graph(ce["graph"])
+    lam = spectral_radius(g).lam
+    if not _labels_in_range(g, (w for e in ce["removed"] for w in e)):
+        return lam, -math.inf, ce["margin"]
     sub = g
     for u, v in ce["removed"]:
         sub = sub.without_edge(u, v)
-    return spectral_radius(g).lam, spectral_radius(sub).lam, ce["margin"]
+    return lam, spectral_radius(sub).lam, ce["margin"]
 
 
 def _rotation_evidence(ce: dict) -> tuple:
-    """An instance that breaks the rotation lemma's hypotheses (x_u < x_v,
-    or a moved vertex that is u, not a neighbor of v, or already adjacent
-    to u) gets an infinite rotated radius, so it never counts."""
+    """An instance that breaks the rotation lemma's hypotheses (a vertex
+    outside the graph, x_u < x_v, or a moved vertex that is u, not a
+    neighbor of v, or already adjacent to u) gets an infinite rotated
+    radius, so it never counts."""
     g = deserialize_graph(ce["graph"])
     report = spectral_radius(g)
     u, v, moved = ce["u"], ce["v"], ce["moved"]
-    legal = report.perron[u] >= report.perron[v] and all(
-        w != u and g.has_edge(v, w) and not g.has_edge(u, w) for w in moved
+    legal = (
+        _labels_in_range(g, (u, v, *moved))
+        and report.perron[u] >= report.perron[v]
+        and all(w != u and g.has_edge(v, w) and not g.has_edge(u, w) for w in moved)
     )
     lam_rot = spectral_radius(_rotate(g, u, v, moved)).lam if legal else math.inf
     return report.lam, lam_rot, ce["margin"]

@@ -6,13 +6,24 @@ largest in absolute value (defeating the +/-lambda oscillation of
 bipartite graphs), so the iteration always converges; the radius of A is
 recovered by subtracting 1.  Convergence requires both a stable Rayleigh
 quotient and a small true residual, and every successful report carries
-the residual so callers can recheck the guarantee.
+the residual so callers can recheck the guarantee.  The residual costs a
+pass over the vertices, so it is computed only once the quotient is
+stable; the stopping rule is a conjunction, so this changes no report.
+
+One loop serves two entry points.  `spectral_radius` always returns a
+report.  `radius_unless_below` screens against a threshold: for a
+nonnegative matrix M and a positive vector x, the Collatz-Wielandt bound
+lambda(M) <= max_i (Mx)_i / x_i holds, so with M = A + I the iteration
+can stop as soon as that maximum, minus 1, falls below the threshold.
+The bound needs x > 0 entrywise; x starts at all ones and stays
+nonnegative, so it is applied only while no entry has underflowed to 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import truediv
 
 from .graphs import Graph
 
@@ -55,6 +66,26 @@ def spectral_radius(g: Graph, tol: float = 1e-10, max_iter: int = 100000) -> Spe
     Requires n >= 1.  Raises ConvergenceError if the tolerance is not met
     within max_iter iterations.
     """
+    return _power_iteration(g, tol, max_iter, None)
+
+
+def radius_unless_below(
+    g: Graph, below: float, tol: float = 1e-10, max_iter: int = 100000
+) -> SpectralReport | None:
+    """None as soon as an iterate certifies lam(G) < below; otherwise the
+    report `spectral_radius(g, tol, max_iter)` gives, to the last bit.
+
+    The certificate is the Collatz-Wielandt bound on A + I: with y the
+    product (A + I)x of a positive iterate x, lam(G) <= max_i y_i/x_i - 1.
+    It is tested only while min(x) > 0.  The iterates, and so the report,
+    are those of `spectral_radius`: the screen only adds an earlier exit.
+    """
+    return _power_iteration(g, tol, max_iter, below)
+
+
+def _power_iteration(
+    g: Graph, tol: float, max_iter: int, below: float | None
+) -> SpectralReport | None:
     n = g.n
     if n < 1:
         raise ValueError("spectral radius needs at least one vertex")
@@ -73,21 +104,24 @@ def spectral_radius(g: Graph, tol: float = 1e-10, max_iter: int = 100000) -> Spe
         for u, v in epairs:
             y[u] += x[v]
             y[v] += x[u]
+        if below is not None and min(x) > 0.0 and max(map(truediv, y, x)) - 1.0 < below:
+            return None
         dot_xy = 0.0
         dot_xx = 0.0
         for u in range(n):
             dot_xy += x[u] * y[u]
             dot_xx += x[u] * x[u]
         rho = dot_xy / dot_xx
-        residual = max(abs(y[u] - rho * x[u]) for u in range(n))
-        if abs(rho - rho_prev) < tol and residual < tol:
-            return SpectralReport(
-                lam=rho - 1.0,
-                perron=tuple(x),
-                iterations=it,
-                residual=residual,
-                connected=connected,
-            )
+        if abs(rho - rho_prev) < tol:
+            residual = max(abs(y[u] - rho * x[u]) for u in range(n))
+            if residual < tol:
+                return SpectralReport(
+                    lam=rho - 1.0,
+                    perron=tuple(x),
+                    iterations=it,
+                    residual=residual,
+                    connected=connected,
+                )
         scale = max(y)  # >= 1 since y >= x elementwise and max(x) = 1
         x = [v / scale for v in y]
         rho_prev = rho

@@ -26,6 +26,7 @@ from factor_spectra.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    isomorphic,
     path_graph,
 )
 from factor_spectra.harness import (
@@ -391,6 +392,78 @@ def test_explorer_output_pinned(seed):
     assert _digest(explore_conjecture(2, 0, 12, 1500, seed)) == EXPLORER_DIGESTS[seed]
 
 
+def _count_calls(monkeypatch, module, name: str, calls: list, replacement=None):
+    """Rebind module.name to a wrapper that appends each argument graph."""
+    original = getattr(module, name)
+
+    def counted(g, *args, **kwargs):
+        calls.append(g)
+        return (replacement or original)(g, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_explorer_reuses_critical_verdicts(monkeypatch):
+    # a screened graph isomorphic to one already swept and found critical
+    # is counted critical without a sweep; the output does not move
+    swept: list = []
+    _count_calls(monkeypatch, harness, "is_rk_critical", swept)
+    r = explore_conjecture(2, 0, 12, 1500, 0)
+    assert _digest(r) == EXPLORER_DIGESTS[0]
+    m = r.metrics
+    assert m["candidates"] == 0
+    assert len(swept) < m["qualifying"] - m["isomorphic_excluded"]
+    # no two swept graphs are isomorphic
+    assert not any(isomorphic(g, h) for i, g in enumerate(swept) for h in swept[:i])
+
+
+def test_explorer_never_reuses_refutations(monkeypatch):
+    # with the decider forced to refute, every screened graph is swept
+    forced = is_rk_critical(complete_bipartite(1, 3), 2, 0)
+    swept: list = []
+    _count_calls(monkeypatch, harness, "is_rk_critical", swept, lambda *args: forced)
+    monkeypatch.setattr(harness, "_candidate_fails", lambda *args: False)
+    m = explore_conjecture(2, 0, 10, 300, 0).metrics
+    screened = m["qualifying"] - m["isomorphic_excluded"]
+    assert screened > 1
+    assert len(swept) == screened == m["candidates"]
+    assert m["critical_qualifying"] == 0
+
+
+def test_explorer_budget_counts_solves_and_screens(monkeypatch):
+    solves: list = []
+    screens: list = []
+    _count_calls(monkeypatch, harness, "spectral_radius", solves)
+    _count_calls(monkeypatch, harness, "radius_unless_below", screens)
+    m = explore_conjecture(2, 0, 12, 1500, 0).metrics
+    assert m["candidates"] == 0
+    assert m["evaluations"] == 1500
+    # one more solve gives lambda_family
+    assert m["evaluations"] == len(solves) - 1 + len(screens)
+    assert m["phase_c_restarts"] > 0 and len(screens) > 0
+
+
+def test_explorer_under_a_tracer_wrapper(monkeypatch):
+    # bench/tracing.py rebinds spectral_radius in every package module
+    # that holds it and reads `.iterations` from every return value
+    import sys
+
+    iterations: list[int] = []
+    original = harness.spectral_radius
+
+    def traced(*args, **kwargs):
+        report = original(*args, **kwargs)
+        iterations.append(report.iterations)
+        return report
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "factor_spectra" and getattr(module, "spectral_radius", None) is original:
+            monkeypatch.setattr(module, "spectral_radius", traced)
+    r = explore_conjecture(2, 0, 10, 300, 0)
+    assert r.status == "pass"
+    assert iterations and min(iterations) >= 1
+
+
 def test_explorer_candidates_revalidate():
     r = explore_conjecture(2, 1, 9, budget=250, seed=17)
     assert r.status == "pass"
@@ -518,6 +591,32 @@ def test_revalidate_rotation_kind():
     # ill-formed instance (moved vertex already adjacent to u) is rejected
     ce["moved"] = [1]
     assert not revalidate_counterexample(ce)
+
+
+@pytest.mark.parametrize("removed", [[[0, -1]], [[-1, 0]], [[0, 5]], [[0, 1], [5, 0]]])
+def test_revalidate_monotonicity_kind_rejects_bad_labels(removed):
+    ce = {
+        "kind": "monotonicity-violation",
+        "graph": serialize_graph(cycle_graph(5)),
+        "removed": removed,
+        "margin": 1e-10,
+    }
+    assert revalidate_counterexample(ce) is False
+
+
+@pytest.mark.parametrize(
+    "u, v, moved", [(-1, 2, [3]), (5, 2, [3]), (0, -1, [3]), (0, 5, [3]), (0, 2, [-1]), (0, 2, [5])]
+)
+def test_revalidate_rotation_kind_rejects_bad_labels(u, v, moved):
+    ce = {
+        "kind": "rotation-violation",
+        "graph": serialize_graph(cycle_graph(5)),
+        "u": u,
+        "v": v,
+        "moved": moved,
+        "margin": 1e-10,
+    }
+    assert revalidate_counterexample(ce) is False
 
 
 def test_revalidate_explorer_kinds():

@@ -32,6 +32,7 @@ from factor_spectra.spectral import (
     hong_bound_formula,
     quotient_matrix,
     quotient_spectral_radius,
+    radius_unless_below,
     spectral_radius,
 )
 
@@ -175,6 +176,67 @@ class TestSpectralRadius:
         d = rep.to_json()
         assert set(d) == {"lambda", "perron", "iterations", "residual", "connected"}
         assert d["lambda"] == pytest.approx(2, abs=1e-9)
+
+
+class TestScreen:
+    """`radius_unless_below` returns None only when lam < below, and
+    otherwise the very report of `spectral_radius`."""
+
+    @staticmethod
+    def agrees(g: Graph, below: float) -> bool:
+        """Check one screen against numpy; True iff it returned None."""
+        screened = radius_unless_below(g, below)
+        if screened is None:
+            assert numpy_radius(g) < below
+            return True
+        assert screened == spectral_radius(g)
+        return False
+
+    def test_random_connected_graphs(self):
+        rng = random.Random(7)
+        dropped = kept = 0
+        for _ in range(80):
+            g = random_connected_graph(rng, rng.randint(2, 16), rng.uniform(0.1, 0.9))
+            lam = numpy_radius(g)
+            for offset in (-0.5, -1e-3, -1e-8, 1e-8, 1e-3, 0.5):
+                if self.agrees(g, lam + offset):
+                    dropped += 1
+                else:
+                    kept += 1
+        assert dropped and kept
+
+    def test_explorer_phase_b_graphs(self):
+        # the explorer's own threshold, lam_F - 2 * STRICT_MARGIN
+        f, graphs = explorer_graphs()
+        below = spectral_radius(f).lam - 2e-9
+        outcomes = [self.agrees(g, below) for g in graphs]
+        assert any(outcomes) and not all(outcomes)
+
+    def test_dropped_graphs_fail_the_float_test(self):
+        # soundness in the explorer's terms: every graph the screen drops
+        # has a float radius below lam_F - STRICT_MARGIN
+        f, graphs = explorer_graphs()
+        lam_f = spectral_radius(f).lam
+        for g in graphs:
+            if radius_unless_below(g, lam_f - 2e-9) is None:
+                assert spectral_radius(g).lam < lam_f - 1e-9
+
+    def test_bound_skipped_once_an_entry_underflows(self):
+        # the isolated vertex's entry decays as 1/(1 + lam)^t and reaches
+        # 0.0 long before the path converges; the bound needs x > 0
+        g = disjoint_union(path_graph(40), empty_graph(1))
+        report = spectral_radius(g)
+        assert min(report.perron) == 0.0
+        assert radius_unless_below(g, report.lam - 0.1) == report
+        assert radius_unless_below(g, 2.5) is None
+
+    def test_same_errors(self):
+        with pytest.raises(ValueError):
+            radius_unless_below(empty_graph(0), 1.0)
+        with pytest.raises(ValueError):
+            radius_unless_below(complete_graph(3), 1.0, tol=0)
+        with pytest.raises(ConvergenceError):
+            radius_unless_below(path_graph(6), 0.0, max_iter=2)
 
 
 class TestHongBound:
