@@ -721,11 +721,18 @@ def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
 
 
 def _perturbation_suite(
-    check_id: str, kind: str, metric: str, instance: Callable, count: int, seed: int
+    check_id: str,
+    kind: str,
+    metric: str,
+    density: tuple[float, float],
+    instance: Callable,
+    count: int,
+    seed: int,
 ) -> CheckResult:
-    """The driver of both perturbation suites.  `instance(rng)` builds one
-    seeded instance and returns None to discard it, or (g, value, violated,
-    fields): the value is tracked as a running minimum under `metric`,
+    """The driver of both perturbation suites.  It draws a connected graph
+    g on 4-9 vertices with edge density drawn from `density`; then
+    `instance(rng, g)` returns None to discard g, or (value, violated,
+    fields).  The value is tracked as a running minimum under `metric`,
     and a violation fails the check with a `kind` counterexample on g
     that carries `fields`."""
     if count < 1:
@@ -735,10 +742,12 @@ def _perturbation_suite(
     least = math.inf
     built = 0
     while built < count:
-        drawn = instance(rng)
+        n = rng.randint(4, 9)
+        g = random_connected_graph(rng, n, rng.uniform(*density))
+        drawn = instance(rng, g)
         if drawn is None:
             continue
-        g, value, violated, fields = drawn
+        value, violated, fields = drawn
         built += 1
         least = min(least, value)
         if violated:
@@ -759,9 +768,7 @@ def _not_lowered(lam: float, lam_sub: float, margin: float) -> bool:
     return lam_sub >= lam - margin
 
 
-def _monotonicity_instance(rng: random.Random) -> tuple | None:
-    n = rng.randint(4, 9)
-    g = random_connected_graph(rng, n, rng.uniform(0.4, 0.8))
+def _monotonicity_instance(rng: random.Random, g: Graph) -> tuple | None:
     edges = g.edges()
     rng.shuffle(edges)
     goal = rng.randint(1, max(1, len(edges) // 3))
@@ -779,7 +786,7 @@ def _monotonicity_instance(rng: random.Random) -> tuple | None:
     lam = spectral_radius(g).lam
     lam_sub = spectral_radius(sub).lam
     violated = _not_lowered(lam, lam_sub, PROPERTY_MARGIN)
-    return g, lam - lam_sub, violated, {"removed": [list(e) for e in removed]}
+    return lam - lam_sub, violated, {"removed": [list(e) for e in removed]}
 
 
 def check_subgraph_monotonicity(count: int = 200, seed: int = 0) -> CheckResult:
@@ -790,6 +797,7 @@ def check_subgraph_monotonicity(count: int = 200, seed: int = 0) -> CheckResult:
         "subgraph-monotonicity",
         "monotonicity-violation",
         "min_drop",
+        (0.4, 0.8),
         _monotonicity_instance,
         count,
         seed,
@@ -806,22 +814,19 @@ def _not_raised(lam: float, lam_rot: float, margin: float) -> bool:
     return lam_rot <= lam + margin
 
 
-def _rotation_instance(rng: random.Random) -> tuple | None:
-    n = rng.randint(4, 9)
-    g = random_connected_graph(rng, n, rng.uniform(0.35, 0.75))
+def _rotation_instance(rng: random.Random, g: Graph) -> tuple | None:
     report = spectral_radius(g)
     x = report.perron
-    u, v = rng.sample(range(n), 2)
+    u, v = rng.sample(range(g.n), 2)
     if x[v] > x[u]:
         u, v = v, u
     movable = [w for w in g.neighbors(v) if w != u and not g.has_edge(u, w)]
     if not movable:
         return None
     chosen = rng.sample(movable, rng.randint(1, len(movable)))
-    lam = report.lam
     lam_rot = spectral_radius(_rotate(g, u, v, chosen)).lam
-    violated = _not_raised(lam, lam_rot, PROPERTY_MARGIN)
-    return g, lam_rot - lam, violated, {"u": u, "v": v, "moved": chosen}
+    violated = _not_raised(report.lam, lam_rot, PROPERTY_MARGIN)
+    return lam_rot - report.lam, violated, {"u": u, "v": v, "moved": chosen}
 
 
 def check_edge_rotation(count: int = 200, seed: int = 0) -> CheckResult:
@@ -830,7 +835,13 @@ def check_edge_rotation(count: int = 200, seed: int = 0) -> CheckResult:
     built per the statement: the moved endpoints are neighbors of v that
     are not u and not adjacent to u.  Deterministic per seed."""
     return _perturbation_suite(
-        "edge-rotation", "rotation-violation", "min_gain", _rotation_instance, count, seed
+        "edge-rotation",
+        "rotation-violation",
+        "min_gain",
+        (0.35, 0.75),
+        _rotation_instance,
+        count,
+        seed,
     )
 
 

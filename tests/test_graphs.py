@@ -153,15 +153,12 @@ class TestBasics:
             g.with_edge(0, 1)
         with pytest.raises(ValueError):
             g.without_edge(0, 2)
-
-    @pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (3, 0), (0, 3), (1, 1)])
-    def test_edit_ops_reject_bad_labels(self, u, v):
         # a negative label would index from the end, and n is one past it
-        g = cycle_graph(3)
-        with pytest.raises(ValueError, match=r"bad edge .* for n=3"):
-            g.without_edge(u, v)
-        with pytest.raises(ValueError, match=r"bad edge .* for n=3"):
-            g.with_edge(u, v)
+        for u, v in [(-1, 0), (0, -1), (3, 0), (0, 3), (1, 1)]:
+            with pytest.raises(ValueError, match=r"bad edge .* for n=3"):
+                g2.without_edge(u, v)
+            with pytest.raises(ValueError, match=r"bad edge .* for n=3"):
+                g2.with_edge(u, v)
 
     def test_equality_and_hash(self):
         g = cycle_graph(4)

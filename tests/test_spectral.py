@@ -66,7 +66,9 @@ def report_corpus() -> list[Graph]:
     """Explorer, sparse and seeded random graphs, 1113 in all."""
     f, screened = explorer_graphs()
     rng = random.Random(2024)
-    rand = [random_connected_graph(rng, rng.randint(2, 30), rng.uniform(0.1, 0.9)) for _ in range(60)]
+    rand = [
+        random_connected_graph(rng, rng.randint(2, 30), rng.uniform(0.1, 0.9)) for _ in range(60)
+    ]
     return [f, *screened, *(path_graph(n) for n in range(1, 41)), *rand]
 
 
