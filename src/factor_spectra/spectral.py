@@ -69,18 +69,16 @@ def spectral_radius(g: Graph, tol: float = 1e-10, max_iter: int = 100000) -> Spe
     return _power_iteration(g, tol, max_iter, None)
 
 
-def radius_unless_below(
-    g: Graph, below: float, tol: float = 1e-10, max_iter: int = 100000
-) -> SpectralReport | None:
+def radius_unless_below(g: Graph, below: float) -> SpectralReport | None:
     """None as soon as an iterate certifies lam(G) < below; otherwise the
-    report `spectral_radius(g, tol, max_iter)` gives, to the last bit.
+    report `spectral_radius(g)` gives, to the last bit.
 
     The certificate is the Collatz-Wielandt bound on A + I: with y the
     product (A + I)x of a positive iterate x, lam(G) <= max_i y_i/x_i - 1.
     It is tested only while min(x) > 0.  The iterates, and so the report,
     are those of `spectral_radius`: the screen only adds an earlier exit.
     """
-    return _power_iteration(g, tol, max_iter, below)
+    return _power_iteration(g, 1e-10, 100000, below)
 
 
 def _power_iteration(

@@ -235,10 +235,6 @@ class TestScreen:
     def test_same_errors(self):
         with pytest.raises(ValueError):
             radius_unless_below(empty_graph(0), 1.0)
-        with pytest.raises(ValueError):
-            radius_unless_below(complete_graph(3), 1.0, tol=0)
-        with pytest.raises(ConvergenceError):
-            radius_unless_below(path_graph(6), 0.0, max_iter=2)
 
 
 class TestHongBound:
