@@ -720,55 +720,11 @@ def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
     )
 
 
-def _perturbation_suite(
-    check_id: str,
-    kind: str,
-    metric: str,
-    density: tuple[float, float],
-    instance: Callable,
-    count: int,
-    seed: int,
-) -> CheckResult:
-    """The driver of both perturbation suites.  It draws a connected graph
-    g on 4-9 vertices with edge density drawn from `density`; then
-    `instance(rng, g)` returns None to discard g, or (value, violated,
-    fields).  The value is tracked as a running minimum under `metric`,
-    and a violation fails the check with a `kind` counterexample on g
-    that carries `fields`."""
-    if count < 1:
-        raise ValueError("need count >= 1")
-    rng = random.Random(seed)
-    result = partial(CheckResult, check_id, {"count": count, "seed": seed})
-    least = math.inf
-    built = 0
-    while built < count:
-        n = rng.randint(4, 9)
-        g = random_connected_graph(rng, n, rng.uniform(*density))
-        drawn = instance(rng, g)
-        if drawn is None:
-            continue
-        value, violated, fields = drawn
-        built += 1
-        least = min(least, value)
-        if violated:
-            return result(
-                "fail",
-                {"instances": built, metric: least},
-                counterexample={
-                    "kind": kind,
-                    "graph": serialize_graph(g),
-                    **fields,
-                    "margin": PROPERTY_MARGIN,
-                },
-            )
-    return result("pass", {"instances": built, metric: least})
-
-
 def _not_lowered(lam: float, lam_sub: float, margin: float) -> bool:
     return lam_sub >= lam - margin
 
 
-def _monotonicity_instance(rng: random.Random, g: Graph) -> tuple | None:
+def _monotonicity_step(rng: random.Random, g: Graph) -> tuple | None:
     edges = g.edges()
     rng.shuffle(edges)
     goal = rng.randint(1, max(1, len(edges) // 3))
@@ -789,21 +745,6 @@ def _monotonicity_instance(rng: random.Random, g: Graph) -> tuple | None:
     return lam - lam_sub, violated, {"removed": [list(e) for e in removed]}
 
 
-def check_subgraph_monotonicity(count: int = 200, seed: int = 0) -> CheckResult:
-    """Deleting edges from a connected graph, while keeping it connected,
-    strictly lowers the spectral radius (margin 1e-10).  Randomized
-    instances, deterministic per seed."""
-    return _perturbation_suite(
-        "subgraph-monotonicity",
-        "monotonicity-violation",
-        "min_drop",
-        (0.4, 0.8),
-        _monotonicity_instance,
-        count,
-        seed,
-    )
-
-
 def _rotate(g: Graph, u: int, v: int, moved) -> Graph:
     for w in moved:
         g = g.without_edge(v, w).with_edge(u, w)
@@ -814,7 +755,7 @@ def _not_raised(lam: float, lam_rot: float, margin: float) -> bool:
     return lam_rot <= lam + margin
 
 
-def _rotation_instance(rng: random.Random, g: Graph) -> tuple | None:
+def _rotation_step(rng: random.Random, g: Graph) -> tuple | None:
     report = spectral_radius(g)
     x = report.perron
     u, v = rng.sample(range(g.n), 2)
@@ -829,20 +770,53 @@ def _rotation_instance(rng: random.Random, g: Graph) -> tuple | None:
     return lam_rot - report.lam, violated, {"u": u, "v": v, "moved": chosen}
 
 
+# check id -> (counterexample kind, metric, edge-density range, instance step)
+_PERTURBATION_SUITES = {
+    "subgraph-monotonicity": ("monotonicity-violation", "min_drop", (0.4, 0.8), _monotonicity_step),
+    "edge-rotation": ("rotation-violation", "min_gain", (0.35, 0.75), _rotation_step),
+}
+
+
+def _perturbation_suite(check_id: str, count: int, seed: int) -> CheckResult:
+    """Run the suite's step on seeded connected graphs g on 4-9 vertices
+    until `count` are kept.  A step returns None to discard g, or (value,
+    violated, fields): the least value is the suite's metric, and a
+    violation fails with a counterexample on g that carries `fields`."""
+    kind, metric, density, step = _PERTURBATION_SUITES[check_id]
+    if count < 1:
+        raise ValueError("need count >= 1")
+    rng = random.Random(seed)
+    result = partial(CheckResult, check_id, {"count": count, "seed": seed})
+    least = math.inf
+    built = 0
+    while built < count:
+        n = rng.randint(4, 9)
+        g = random_connected_graph(rng, n, rng.uniform(*density))
+        drawn = step(rng, g)
+        if drawn is None:
+            continue
+        value, violated, fields = drawn
+        built += 1
+        least = min(least, value)
+        if violated:
+            ce = {"kind": kind, "graph": serialize_graph(g), **fields, "margin": PROPERTY_MARGIN}
+            return result("fail", {"instances": built, metric: least}, counterexample=ce)
+    return result("pass", {"instances": built, metric: least})
+
+
+def check_subgraph_monotonicity(count: int = 200, seed: int = 0) -> CheckResult:
+    """Deleting edges from a connected graph, while keeping it connected,
+    strictly lowers the spectral radius (margin 1e-10).  Randomized
+    instances, deterministic per seed."""
+    return _perturbation_suite("subgraph-monotonicity", count, seed)
+
+
 def check_edge_rotation(count: int = 200, seed: int = 0) -> CheckResult:
     """Rotating edges from v to a vertex u with Perron entry >= that of v
     strictly raises the spectral radius (margin 1e-10).  Instances are
     built per the statement: the moved endpoints are neighbors of v that
     are not u and not adjacent to u.  Deterministic per seed."""
-    return _perturbation_suite(
-        "edge-rotation",
-        "rotation-violation",
-        "min_gain",
-        (0.35, 0.75),
-        _rotation_instance,
-        count,
-        seed,
-    )
+    return _perturbation_suite("edge-rotation", count, seed)
 
 
 def _candidate_fails(cand: dict, r: int, k: int) -> bool:
