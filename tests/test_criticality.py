@@ -9,7 +9,9 @@ bitmask machinery cannot hide.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -348,6 +350,22 @@ class TestParityDecider:
                     want = critical_by_definition(g, FactorParams(2, 2, k), "parity")
                     got = is_rk_critical(g, 2, k) is None
                     assert got == want
+
+    def test_verdicts_pinned(self):
+        # every certificate (or None) over a seeded corpus, byte for byte:
+        # a pruning change that moves any first violation moves this digest
+        rng = random.Random(2026)
+        digest = hashlib.sha256()
+        for _ in range(300):
+            n = rng.randint(5, 11)
+            g = random_graph(n, rng.choice([0.4, 0.6, 0.8, 0.95]), rng)
+            for r, k in ((2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (4, 0)):
+                if n >= r + k + 1:
+                    cert = is_rk_critical(g, r, k)
+                    digest.update(json.dumps(None if cert is None else cert.to_json()).encode())
+        assert digest.hexdigest() == (
+            "e2c025bbc3231002dc78abd20801861ca067c4f8472bbbe57b8538d82c4d6ea8"
+        )
 
     def test_bounds_skip_complete_graph_sweep(self, monkeypatch):
         # K12 is (2, 0)-critical; the parity lemma and the edge cap on h
