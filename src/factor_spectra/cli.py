@@ -327,10 +327,9 @@ def _add_decider_flags(p) -> None:
                    help="exit 1 if any input graph is not critical")
 
 
-def _add_window_flags(p, need_b: bool = True) -> None:
+def _add_window_flags(p) -> None:
     p.add_argument("--a", type=int, required=True, help="lower degree bound a >= 1")
-    if need_b:
-        p.add_argument("--b", type=int, required=True, help="upper degree bound b")
+    p.add_argument("--b", type=int, required=True, help="upper degree bound b")
     p.add_argument("--k", type=int, default=0, help="deletion count k >= 0 (default 0)")
 
 

@@ -42,7 +42,7 @@ import itertools
 from dataclasses import dataclass
 
 from .factors import find_ab_factor, find_fractional_factor
-from .graphs import Graph
+from .graphs import Graph, bits
 
 SUBSET_SWEEP_CAP = 20
 PAIR_SWEEP_CAP = 12
@@ -307,17 +307,13 @@ def _pairs(g: Graph) -> list[tuple[int, int]]:
     return [(1 << v, row) for v, row in enumerate(g.adj)]
 
 
-def _vertices(mask: int) -> tuple[int, ...]:
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
-
-
 def _subsets_by_size(n: int, min_size: int):
     """(mask, size) for every subset of range(n) with size >= min_size,
     increasing size then lexicographic within a size.  Lazy, so a sweep
     holds one subset at a time."""
-    bits = [1 << v for v in range(n)]
+    singletons = [1 << v for v in range(n)]
     for size in range(min_size, n + 1):
-        for combo in itertools.combinations(bits, size):
+        for combo in itertools.combinations(singletons, size):
             yield sum(combo), size
 
 
@@ -332,7 +328,7 @@ def _sweep(g: Graph, route: str, params: FactorParams) -> DeficiencyCertificate 
     pairs = _pairs(g)
     for s_mask, s_size in _subsets_by_size(g.n, k):
         if _deficiency(pairs, s_mask, s_size, a, b, k) > 0:
-            return certificate_at(g, route, params, _vertices(s_mask))
+            return certificate_at(g, route, params, tuple(bits(s_mask)))
     return None
 
 
@@ -366,12 +362,14 @@ def is_rk_critical(g: Graph, r: int, k: int) -> DeficiencyCertificate | None:
       bound of -1 already rules the pair out.
     * h(X, Y) <= |R| with R = V - X - Y; for even r also h <= e(Y, R),
       since a counted component C has e(Y, C) odd, hence at least one
-      edge to Y, and e(Y, R) <= sum_Y d_{G-X}(v).
+      edge to Y, and e(Y, R) <= sum_Y d_{G-X}(v); so the surplus is at
+      least r(|X| - k) - r|Y|.
     * A whole |Y| = l slice is skipped when the sum of the l smallest
-      d_{G-X}(v) - r, less the cap on h, already clears the bound; a
-      single Y is skipped, before h is counted, on its own degree sum.
-      A whole X is skipped when the lowest slice bound over all l clears,
-      and the sweep ends once |X| alone makes that certain.
+      d_{G-X}(v) - r, less |R|, already clears the bound, or for even r
+      when r(|X| - k) - rl does; a single Y is skipped, before h is
+      counted, on its own degree sum less |R|.  A whole X is skipped
+      when the lowest slice bound over all l clears, and the sweep ends
+      once |X| alone makes that certain.
     """
     params = route_params("parity", r, k)
     if g.n < r + k + 1:
@@ -380,10 +378,8 @@ def is_rk_critical(g: Graph, r: int, k: int) -> DeficiencyCertificate | None:
         raise ValueError(f"n={g.n} exceeds the pair sweep cap {PAIR_SWEEP_CAP}")
     adj = g.adj
     n = g.n
-    even_r = r % 2 == 0
     # a violating surplus is negative and congruent to r(n - k) (mod 2)
     slack = 2 if r * (n - k) % 2 == 0 else 1
-    full = (1 << n) - 1
     # risky[s]: the vertices that can be short (d_{G-X}(v) < r - 1) once
     # s vertices are deleted, since d_{G-X}(v) >= d_G(v) - |X|
     risky = [
@@ -407,12 +403,11 @@ def is_rk_critical(g: Graph, r: int, k: int) -> DeficiencyCertificate | None:
         short = [deg[v] for v in rest if deg[v] < r - 1]
         if low + sum(short) - (r - 1) * len(short) > -slack:
             continue
-        rest_mask = full & keep
         margins = sorted(deg[v] - r for v in rest)
         for l in range(len(rest) + 1):
             if l:
                 low += margins[l - 1] + 1
-            if low > -slack or (even_r and base - r * l > -slack):
+            if low > -slack or (r % 2 == 0 and base - r * l > -slack):
                 continue
             outside_size = len(rest) - l  # |R|
             for y_combo in itertools.combinations(rest, l):
@@ -424,13 +419,9 @@ def is_rk_critical(g: Graph, r: int, k: int) -> DeficiencyCertificate | None:
                 surplus = base + deg_sum - r * l  # before h is subtracted
                 if surplus - outside_size > -slack:
                     continue
-                if even_r:
-                    outside = rest_mask & ~y_mask
-                    if surplus - sum((adj[v] & outside).bit_count() for v in y_combo) > -slack:
-                        continue
                 h = _count_odd_components_mask(adj, n, x_mask, y_mask, r)
                 if surplus - h < 0:
-                    return certificate_at(g, "parity", params, _vertices(x_mask), y_combo)
+                    return certificate_at(g, "parity", params, tuple(bits(x_mask)), y_combo)
     return None
 
 

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+from .criticality import FactorParams
 from .graphs import Graph
 
 
@@ -35,12 +36,7 @@ class ExtremalParams:
     n: int
 
     def __post_init__(self):
-        if self.a < 1:
-            raise ValueError(f"need a >= 1, got a={self.a}")
-        if self.b < self.a:
-            raise ValueError(f"need b >= a, got a={self.a}, b={self.b}")
-        if self.k < 0:
-            raise ValueError(f"need k >= 0, got k={self.k}")
+        FactorParams(self.a, self.b, self.k)  # validates the window and k
         if self.n < self.a + self.b + self.k + 2:
             raise ValueError(
                 f"need n >= a+b+k+2 = {self.a + self.b + self.k + 2}, got n={self.n}"

@@ -21,6 +21,7 @@ from typing import Iterable, Iterator
 
 GRAPH6_MAX_N = 62
 ENUMERATION_MAX_N = 8
+RANDOM_GRAPH_TRIES = 20000
 
 
 class Graph:
@@ -331,8 +332,8 @@ def deserialize_graph(d: dict) -> Graph:
     raise ValueError(f"unknown graph serialization format {d['format']!r}")
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(g: Graph) -> str:
+    lines = ["graph G {"]
     for v in range(g.n):
         lines.append(f"  {v};")
     for u, v in g.edges():
@@ -439,18 +440,12 @@ def isomorphic(g: Graph, h: Graph) -> bool:
 # -- random instances ----------------------------------------------------------
 
 
-def random_connected_graph(
-    rng: random.Random,
-    n: int,
-    p: float,
-    min_degree: int = 1,
-    tries: int = 20000,
-) -> Graph:
+def random_connected_graph(rng: random.Random, n: int, p: float, min_degree: int = 1) -> Graph:
     """Reject-sample an Erdos-Renyi graph until connected with the given
     minimum degree."""
     if n < 1:
         raise ValueError("need n >= 1")
-    for _ in range(tries):
+    for _ in range(RANDOM_GRAPH_TRIES):
         rows = [0] * n
         for u in range(n):
             for v in range(u + 1, n):
@@ -461,6 +456,6 @@ def random_connected_graph(
         if g.is_connected() and (n == 1 or g.min_degree() >= min_degree):
             return g
     raise RuntimeError(
-        f"no connected graph with min degree {min_degree} found in {tries} tries "
-        f"(n={n}, p={p})"
+        f"no connected graph with min degree {min_degree} found in "
+        f"RANDOM_GRAPH_TRIES = {RANDOM_GRAPH_TRIES} tries (n={n}, p={p})"
     )

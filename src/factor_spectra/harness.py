@@ -181,13 +181,11 @@ def _outside_interval(lam: float, lower: float, upper: float, margin: float) -> 
     return not (lower + margin < lam < upper - margin)
 
 
-def check_family_radius_bracket(
-    a: int, b: int, k: int, n: int, class_cap: int = FAMILY_CLASS_CAP
-) -> CheckResult:
+def check_family_radius_bracket(a: int, b: int, k: int, n: int) -> CheckResult:
     """Every family member's radius lies strictly inside
     (n-b-2, n-b-1), with 1e-8 margins, once n meets the bracket's own
     order bound.  Falls back to the distinguished member alone when the
-    family has more degree classes than class_cap."""
+    family has more degree classes than FAMILY_CLASS_CAP."""
     FactorParams(a, b, k)  # validates the shape
     result = partial(CheckResult, "family-radius-bracket", {"a": a, "b": b, "k": k, "n": n})
     need = bracket_min_n(a, b, k)
@@ -195,9 +193,9 @@ def check_family_radius_bracket(
         return _not_met(result, need, "bracket claim")
     fp = ExtremalParams(a, b, k, n)
     classes = family_degree_classes(fp)
-    if len(classes) > class_cap:
+    if len(classes) > FAMILY_CLASS_CAP:
         members: Iterable[Graph] = [extremal_graph(fp)]
-        scope = f"distinguished member only ({len(classes)} classes exceed cap {class_cap})"
+        scope = f"distinguished member only ({len(classes)} classes exceed cap {FAMILY_CLASS_CAP})"
     else:
         members = enumerate_family(fp)
         scope = f"all {len(classes)} degree-class representatives"
@@ -300,15 +298,18 @@ def _edge_count_off(edge_count: int, expected: int) -> bool:
 
 def _sharpness_certificate(
     g: Graph, route: str, params: FactorParams
-) -> tuple[DeficiencyCertificate | None, bool]:
-    """The violating set the sharpness claims name, and whether the sweep
-    found it: the sweep's first one when the decider accepts n (n <=
-    SUBSET_SWEEP_CAP), else the clique block S = {0, ..., a+k-1} when it
-    violates."""
+) -> DeficiencyCertificate | None:
+    """The violating set the sharpness claims name: the sweep's first one
+    when the decider accepts n (n <= SUBSET_SWEEP_CAP), else the clique
+    block S = {0, ..., a+k-1} when it violates."""
     if g.n <= SUBSET_SWEEP_CAP:
-        return decide(g, route, params), True
+        return decide(g, route, params)
     cert = certificate_at(g, route, params, range(params.a + params.k))
-    return (cert if cert.violating else None), False
+    return cert if cert.violating else None
+
+
+def _sharpness_route(g: Graph) -> str:
+    return "subset-sweep decider" if g.n <= SUBSET_SWEEP_CAP else "fixed-certificate route"
 
 
 def _certificate_off(
@@ -332,32 +333,27 @@ def _sharpness_core(
     fparams: FactorParams,
     metrics: dict,
     edges: int | None = None,
-    block_metric: bool = False,
-    labels: tuple[str, str] = ("", ""),
-) -> tuple[CheckResult | None, DeficiencyCertificate | None, bool]:
+) -> tuple[CheckResult | None, DeficiencyCertificate | None]:
     """The sharpness checks' shared assertions on the distinguished member
     g, in order: g is connected with minimum degree exactly a+k; g has
     `edges` edges, when given; the set _sharpness_certificate names is
     the clique block S = {0..a+k-1} with deficiency exactly 1.  Returns
-    (failure or None, certificate, swept).
+    (failure or None, certificate).
 
-    A failure reports metrics, plus delta when the shape is off.
-    block_metric adds the block's own deficiency to metrics before the
-    certificate assertion; labels[not swept] notes a certificate failure."""
+    A failure reports metrics, plus delta when the shape is off; a
+    certificate failure names the route in its notes."""
     s_block = tuple(range(fparams.a + fparams.k))
-    cert, swept, notes = None, False, ""
+    cert, notes = None, ""
     if _shape_off(g, len(s_block)):
         metrics = {**metrics, "delta": g.min_degree()}
         kind, fields = "hypothesis-shape-mismatch", {"expected_min_degree": len(s_block)}
     elif edges is not None and _edge_count_off(g.edge_count, edges):
         kind, fields = "edge-count-mismatch", {"expected": edges}
     else:
-        cert, swept = _sharpness_certificate(g, route, fparams)
-        if block_metric:
-            metrics["block_deficiency"] = certificate_at(g, route, fparams, s_block).deficiency
+        cert = _sharpness_certificate(g, route, fparams)
         if not _certificate_off(cert, s_block, 1):
-            return None, cert, swept
-        kind, notes = "certificate-mismatch", labels[not swept]
+            return None, cert
+        kind, notes = "certificate-mismatch", _sharpness_route(g)
         fields = {
             "a": fparams.a,
             "b": fparams.b,
@@ -368,7 +364,7 @@ def _sharpness_core(
             "got": None if cert is None else cert.to_json(),
         }
     counterexample = {"kind": kind, "graph": serialize_graph(g), **fields}
-    return result("fail", metrics, counterexample=counterexample, notes=notes), cert, swept
+    return result("fail", metrics, counterexample=counterexample, notes=notes), cert
 
 
 def check_edge_count_sharpness(a: int, b: int, k: int, n: int) -> CheckResult:
@@ -386,16 +382,13 @@ def check_edge_count_sharpness(a: int, b: int, k: int, n: int) -> CheckResult:
     g = extremal_graph(fp)
     formula = extremal_edge_count(fp)
     metrics = {"edge_count": g.edge_count, "threshold": formula + 1}
-    labels = ("subset-sweep decider", "fixed-certificate route")
-    failure, cert, swept = _sharpness_core(
-        result, g, "integral", factor_params, metrics, edges=formula, labels=labels
-    )
+    failure, cert = _sharpness_core(result, g, "integral", factor_params, metrics, edges=formula)
     if failure:
         return failure
     return result(
         "pass",
         {**metrics, "deficiency": cert.deficiency, "t_size": len(cert.t_set)},
-        notes=f"{labels[not swept]}; violating set is the joined clique block",
+        notes=f"{_sharpness_route(g)}; violating set is the joined clique block",
     )
 
 
@@ -704,10 +697,11 @@ def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
     fp = ExtremalParams(a, b, k, n)
     g = extremal_graph(fp)
     metrics: dict = {"min_n": need, "delta": g.min_degree()}
-    failure, _, swept = _sharpness_core(result, g, kind, fparams, metrics, block_metric=True)
+    failure, cert = _sharpness_core(result, g, kind, fparams, metrics)
     if failure:
         return failure
-    route = "subset-sweep decider" if swept else "fixed certificate"
+    metrics["block_deficiency"] = cert.deficiency
+    route = "subset-sweep decider" if n <= SUBSET_SWEEP_CAP else "fixed certificate"
     if n <= 200:
         metrics["lambda"] = spectral_radius(g).lam
     return result(
@@ -1016,29 +1010,35 @@ def _labels_in_range(g: Graph, labels) -> bool:
 
 
 def _monotonicity_evidence(ce: dict) -> tuple:
-    """An instance that names a vertex outside the graph gets a reduced
-    radius of -inf, so it never counts."""
+    """An instance that names a vertex outside the graph, an entry that is
+    not an edge, or one edge twice gets a reduced radius of -inf, so it
+    never counts."""
     g = deserialize_graph(ce["graph"])
     lam = spectral_radius(g).lam
-    if not _labels_in_range(g, (w for e in ce["removed"] for w in e)):
+    removed = ce["removed"]
+    if not (
+        all(len(e) == 2 and _labels_in_range(g, e) and g.has_edge(*e) for e in removed)
+        and len({frozenset(e) for e in removed}) == len(removed)
+    ):
         return lam, -math.inf, ce["margin"]
     sub = g
-    for u, v in ce["removed"]:
+    for u, v in removed:
         sub = sub.without_edge(u, v)
     return lam, spectral_radius(sub).lam, ce["margin"]
 
 
 def _rotation_evidence(ce: dict) -> tuple:
     """An instance that breaks the rotation lemma's hypotheses (a vertex
-    outside the graph, x_u < x_v, or a moved vertex that is u, not a
-    neighbor of v, or already adjacent to u) gets an infinite rotated
-    radius, so it never counts."""
+    outside the graph, x_u < x_v, a moved vertex listed twice, or one
+    that is u, not a neighbor of v, or already adjacent to u) gets an
+    infinite rotated radius, so it never counts."""
     g = deserialize_graph(ce["graph"])
     report = spectral_radius(g)
     u, v, moved = ce["u"], ce["v"], ce["moved"]
     legal = (
         _labels_in_range(g, (u, v, *moved))
         and report.perron[u] >= report.perron[v]
+        and len(set(moved)) == len(moved)
         and all(w != u and g.has_edge(v, w) and not g.has_edge(u, w) for w in moved)
     )
     lam_rot = spectral_radius(_rotate(g, u, v, moved)).lam if legal else math.inf
@@ -1068,7 +1068,7 @@ _COUNTEREXAMPLES: dict[str, tuple[Callable[..., bool], Callable[[dict], tuple]]]
                 deserialize_graph(ce["graph"]),
                 ce.get("route", "integral"),
                 FactorParams(ce["a"], ce["b"], ce["k"]),
-            )[0],
+            ),
             ce["expected_s_set"],
             ce["expected_deficiency"],
         ),

@@ -213,9 +213,7 @@ def quotient_matrix(g: Graph, parts: list[list[int]]) -> QuotientMatrix:
     )
 
 
-def quotient_spectral_radius(
-    g: Graph, parts: list[list[int]], tol: float = 1e-12, max_iter: int = 100000
-) -> float:
+def quotient_spectral_radius(g: Graph, parts: list[list[int]]) -> float:
     """Dominant eigenvalue of the equitable-partition quotient matrix.
 
     For an equitable partition of a connected graph this equals the
@@ -225,10 +223,11 @@ def quotient_spectral_radius(
     quo = quotient_matrix(g, parts)
     m = len(quo.entries)
     # power iteration on (B + I); B is tiny (one row per part) but not
-    # symmetric, so convergence is judged on the estimate and the residual
+    # symmetric, so convergence is judged on the estimate and the residual,
+    # both to 1e-12 within 100000 steps
     x = [1.0] * m
     rho_prev = float("inf")
-    for _ in range(max_iter):
+    for _ in range(100000):
         y = [x[i] + sum(quo.entries[i][j] * x[j] for j in range(m)) for i in range(m)]
         dot_xy = sum(a * b for a, b in zip(x, y))
         dot_xx = sum(a * a for a in x)
@@ -236,7 +235,7 @@ def quotient_spectral_radius(
         residual = max(abs(y[i] - rho * x[i]) for i in range(m))
         scale = max(abs(v) for v in y) or 1.0
         x = [v / scale for v in y]
-        if abs(rho - rho_prev) < tol and residual < tol * max(1.0, rho):
+        if abs(rho - rho_prev) < 1e-12 and residual < 1e-12 * max(1.0, rho):
             return rho - 1.0
         rho_prev = rho
     raise ConvergenceError("quotient power iteration did not converge")

@@ -122,8 +122,9 @@ def test_bracket_checks_every_class_representative():
     assert r.metrics["members_checked"] == 2
 
 
-def test_bracket_class_cap_falls_back_to_distinguished():
-    r = check_family_radius_bracket(3, 3, 0, 16, class_cap=1)
+def test_bracket_class_cap_falls_back_to_distinguished(monkeypatch):
+    monkeypatch.setattr(harness, "FAMILY_CLASS_CAP", 1)
+    r = check_family_radius_bracket(3, 3, 0, 16)
     assert r.status == "pass"
     assert r.metrics["members_checked"] == 1
     assert "distinguished member only" in r.notes
@@ -574,8 +575,11 @@ def test_revalidate_monotonicity_kind():
     assert revalidate_counterexample(ce)
     ce["removed"] = [[0, 1]]
     assert not revalidate_counterexample(ce)
-    # a label outside the graph never reproduces, and raises nothing
-    for removed in ([[0, -1]], [[-1, 0]], [[0, 5]], [[0, 1], [5, 0]]):
+    # a label outside the graph, an entry that is not an edge or one edge
+    # listed twice never reproduces, and raises nothing
+    for removed in (
+        [[0, -1]], [[-1, 0]], [[0, 5]], [[0, 1], [5, 0]], [[0, 2]], [[0, 1], [0, 1]], [[0]]
+    ):
         ce["removed"] = removed
         assert revalidate_counterexample(ce) is False
 
@@ -595,8 +599,10 @@ def test_revalidate_rotation_kind():
     # ill-formed instance (moved vertex already adjacent to u) is rejected
     ce["moved"] = [1]
     assert not revalidate_counterexample(ce)
-    # so is a label outside the graph, without raising
-    for u, v, moved in [(-1, 2, [3]), (5, 2, [3]), (0, -1, [3]), (0, 5, [3]), (0, 2, [-1])]:
+    # so is a label outside the graph or a moved vertex listed twice, without raising
+    for u, v, moved in [
+        (-1, 2, [3]), (5, 2, [3]), (0, -1, [3]), (0, 5, [3]), (0, 2, [-1]), (0, 2, [3, 3])
+    ]:
         ce.update(u=u, v=v, moved=moved)
         assert revalidate_counterexample(ce) is False
 
@@ -817,6 +823,20 @@ def test_perturbation_fail_reports_instances(monkeypatch, predicate, check):
     r = check(5)
     assert r.status == "fail"
     assert r.metrics["instances"] == 1
+
+
+def test_sharpness_checks_share_one_certificate_fail_shape(monkeypatch):
+    # both sharpness checks report a certificate mismatch the same way:
+    # the route in the notes and no block deficiency in the metrics
+    monkeypatch.setattr(harness, "_certificate_off", lambda *args: True)
+    size = check_edge_count_sharpness(2, 3, 1, 30)
+    spectral = check_sharpness(1, 2, 0, 40, "spectral-fractional")
+    for r in (size, spectral):
+        assert r.status == "fail"
+        assert r.counterexample["kind"] == "certificate-mismatch"
+        assert "block_deficiency" not in r.metrics
+        assert revalidate_counterexample(r.counterexample) is False
+    assert size.notes == spectral.notes == "fixed-certificate route"
 
 
 def test_fail_paths_raise_every_registered_kind():
