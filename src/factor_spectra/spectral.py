@@ -223,8 +223,7 @@ def quotient_spectral_radius(g: Graph, parts: list[list[int]]) -> float:
     quo = quotient_matrix(g, parts)
     m = len(quo.entries)
     # power iteration on (B + I); B is tiny (one row per part) but not
-    # symmetric, so convergence is judged on the estimate and the residual,
-    # both to 1e-12 within 100000 steps
+    # symmetric, so convergence is judged on the estimate and the residual
     x = [1.0] * m
     rho_prev = float("inf")
     for _ in range(100000):
