@@ -42,7 +42,7 @@ from .families import (
 )
 from .graphs import Graph, parse_edge_list, parse_graph6, to_edge_list, to_graph6
 from .harness import battery_plan, explore_conjecture, run_check
-from .spectral import ConvergenceError, hong_bound, spectral_radius
+from .spectral import MAX_ITER, TOL, ConvergenceError, hong_bound, spectral_radius
 
 
 # -- input plumbing --------------------------------------------------------------
@@ -354,9 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lambda", help="adjacency spectral radius by power iteration")
     _add_input_flags(p)
     _add_output_flag(p)
-    p.add_argument("--tol", type=float, default=1e-10, help="convergence tolerance (default 1e-10)")
-    p.add_argument("--max-iter", type=int, default=100000, dest="max_iter",
-                   help="iteration cap (default 100000)")
+    p.add_argument("--tol", type=float, default=TOL,
+                   help="convergence tolerance (default %(default)s)")
+    p.add_argument("--max-iter", type=int, default=MAX_ITER, dest="max_iter",
+                   help="iteration cap (default %(default)s)")
     p.set_defaults(handler=_cmd_lambda)
 
     p = sub.add_parser("hong", help="degree-based spectral radius bound and observed slack")

@@ -42,7 +42,7 @@ import itertools
 from dataclasses import dataclass
 
 from .factors import find_ab_factor, find_fractional_factor
-from .graphs import Graph, bits
+from .graphs import Graph, bits, component
 
 SUBSET_SWEEP_CAP = 20
 PAIR_SWEEP_CAP = 12
@@ -236,18 +236,7 @@ def _count_odd_components_mask(adj, n, x_mask, y_mask, r) -> int:
     rest = ((1 << n) - 1) & ~(x_mask | y_mask)
     odd = 0
     while rest:
-        seed = rest & -rest
-        comp = seed
-        frontier = seed
-        while frontier:
-            acc = 0
-            m = frontier
-            while m:
-                bit = m & -m
-                acc |= adj[bit.bit_length() - 1]
-                m ^= bit
-            frontier = acc & rest & ~comp
-            comp |= frontier
+        comp = component(adj, rest & -rest, rest)
         rest &= ~comp
         edges_to_y = 0
         m = comp
@@ -269,12 +258,7 @@ def parity_deficiency(g: Graph, x_set, y_set, r: int, k: int) -> int:
     if x_mask.bit_count() < k:
         raise ValueError(f"|X| = {x_mask.bit_count()} below k = {k}")
     h = _count_odd_components_mask(g.adj, g.n, x_mask, y_mask, r)
-    deg_sum = 0
-    m = y_mask
-    while m:
-        bit = m & -m
-        deg_sum += (g.adj[bit.bit_length() - 1] & ~x_mask).bit_count()
-        m ^= bit
+    deg_sum = sum((g.adj[v] & ~x_mask).bit_count() for v in bits(y_mask))
     return r * k - (
         r * x_mask.bit_count() - r * y_mask.bit_count() + deg_sum - h
     )

@@ -157,13 +157,13 @@ def find_ab_factor(g: Graph, a: int, b: int) -> FactorWitness | None:
 
     if not rec(0):
         return None
-    chosen_edges = tuple(edges[i] for i in picked)
-    deg = [0] * g.n
-    for u, v in chosen_edges:
-        deg[u] += 1
-        deg[v] += 1
+    # a successful search returns before undoing its counts, so `chosen`
+    # holds the witness degrees
     witness = FactorWitness(
-        kind="integral", edges=chosen_edges, weights=None, degrees=tuple(deg)
+        kind="integral",
+        edges=tuple(edges[i] for i in picked),
+        weights=None,
+        degrees=tuple(chosen),
     )
     validate_witness(g, witness, a, b)
     return witness

@@ -72,24 +72,16 @@ class ExtremalParams:
         return self.t_start
 
 
-@dataclass(frozen=True)
-class FamilyAssignment:
-    """Attachment pattern: entry i lists the W-offsets (0-based within the
-    W-block) joined to the i-th independent vertex.  Exactly b+1 entries
-    summing to a-1 edges, endpoints distinct per vertex."""
-
-    attachments: tuple[tuple[int, ...], ...]
-
-
-def _validate_assignment(params: ExtremalParams, assignment: FamilyAssignment) -> None:
-    att = assignment.attachments
-    if len(att) != params.t_size:
+def _validate_assignment(params: ExtremalParams, attachments: tuple[tuple[int, ...], ...]) -> None:
+    """Exactly b+1 entries summing to a-1 edges, in-range W-offsets,
+    endpoints distinct per independent vertex."""
+    if len(attachments) != params.t_size:
         raise ValueError(
             f"assignment must have one entry per independent vertex "
-            f"({params.t_size}), got {len(att)}"
+            f"({params.t_size}), got {len(attachments)}"
         )
     total = 0
-    for i, ends in enumerate(att):
+    for i, ends in enumerate(attachments):
         if len(set(ends)) != len(ends):
             raise ValueError(f"independent vertex {i} repeats a clique endpoint")
         for e in ends:
@@ -117,11 +109,14 @@ def base_join_graph(params: ExtremalParams) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def family_member(params: ExtremalParams, assignment: FamilyAssignment) -> Graph:
-    _validate_assignment(params, assignment)
+def family_member(params: ExtremalParams, attachments: tuple[tuple[int, ...], ...]) -> Graph:
+    """The base join plus attachment edges: entry i of `attachments` lists
+    the W-offsets (0-based within the W-block) joined to the i-th
+    independent vertex."""
+    _validate_assignment(params, attachments)
     g = base_join_graph(params)
     rows = list(g.adj)
-    for i, ends in enumerate(assignment.attachments):
+    for i, ends in enumerate(attachments):
         t = params.t_start + i
         for off in ends:
             w = params.w_start + off
@@ -133,9 +128,7 @@ def family_member(params: ExtremalParams, assignment: FamilyAssignment) -> Graph
 def extremal_graph(params: ExtremalParams) -> Graph:
     """The extremal family member: all a-1 attachment edges at t1, on the
     first a-1 W-block vertices."""
-    att = [()] * params.t_size
-    att[0] = tuple(range(params.a - 1))
-    return family_member(params, FamilyAssignment(tuple(att)))
+    return class_representative(params, (params.a - 1,))
 
 
 def extremal_edge_count(params: ExtremalParams) -> int:
@@ -174,7 +167,7 @@ def class_representative(params: ExtremalParams, multiset: tuple[int, ...]) -> G
         att.append(tuple(range(start, start + d)))
         start += d
     att += [()] * (params.t_size - len(att))
-    return family_member(params, FamilyAssignment(tuple(att)))
+    return family_member(params, tuple(att))
 
 
 def enumerate_family(params: ExtremalParams) -> Iterator[Graph]:

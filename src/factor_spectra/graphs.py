@@ -61,13 +61,9 @@ class Graph:
             if row >> u & 1:
                 raise ValueError(f"loop at vertex {u} not allowed")
         for u, row in enumerate(rows):
-            m = row
-            while m:
-                b = m & -m
-                v = b.bit_length() - 1
+            for v in bits(row):
                 if not rows[v] >> u & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
-                m ^= b
         return cls(n, rows)
 
     # -- basic queries ----------------------------------------------------
@@ -107,19 +103,8 @@ class Graph:
     def is_connected(self) -> bool:
         if self.n == 0:
             raise ValueError("connectivity undefined on the empty vertex set")
-        adj = self.adj
-        reach = 1
-        frontier = 1
-        while frontier:
-            acc = 0
-            m = frontier
-            while m:
-                b = m & -m
-                acc |= adj[b.bit_length() - 1]
-                m ^= b
-            frontier = acc & ~reach
-            reach |= frontier
-        return reach == (1 << self.n) - 1
+        full = (1 << self.n) - 1
+        return component(self.adj, 1, full) == full
 
     # -- edits (return new graphs) ----------------------------------------
 
@@ -181,6 +166,22 @@ def bits(mask: int) -> Iterator[int]:
         b = mask & -mask
         yield b.bit_length() - 1
         mask ^= b
+
+
+def component(adj: tuple[int, ...], seed: int, allowed: int) -> int:
+    """Mask of the vertices reachable from the vertices of `seed` through
+    vertices of `allowed`; `seed` must lie inside `allowed`."""
+    comp = frontier = seed
+    while frontier:
+        acc = 0
+        m = frontier
+        while m:
+            b = m & -m
+            acc |= adj[b.bit_length() - 1]
+            m ^= b
+        frontier = acc & allowed & ~comp
+        comp |= frontier
+    return comp
 
 
 # -- constructors ----------------------------------------------------------

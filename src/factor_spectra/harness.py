@@ -74,9 +74,9 @@ from .criticality import (
 from .families import (
     ExtremalParams,
     enumerate_family,
+    equitable_partition,
     extremal_edge_count,
     extremal_graph,
-    family_degree_classes,
 )
 from .graphs import (
     Graph,
@@ -94,7 +94,7 @@ RATIO_TOL = 1e-6
 STRICT_MARGIN = 1e-9
 PROPERTY_MARGIN = 1e-10
 BRACKET_MARGIN = 1e-8
-FAMILY_CLASS_CAP = 64
+FAMILY_MAX_A = 5
 HISTOGRAM_IDENTITY_N_CAP = 5
 
 
@@ -181,24 +181,25 @@ def _outside_interval(lam: float, lower: float, upper: float, margin: float) -> 
     return not (lower + margin < lam < upper - margin)
 
 
+def _family_guard(a: int, b: int, k: int) -> None:
+    """The family checks enumerate every degree class, so they validate
+    the shape and cap a at FAMILY_MAX_A to keep the class list small."""
+    FactorParams(a, b, k)
+    if a > FAMILY_MAX_A:
+        raise ValueError(f"family enumeration is capped at a <= {FAMILY_MAX_A}, got a={a}")
+
+
 def check_family_radius_bracket(a: int, b: int, k: int, n: int) -> CheckResult:
     """Every family member's radius lies strictly inside
     (n-b-2, n-b-1), with 1e-8 margins, once n meets the bracket's own
-    order bound.  Falls back to the distinguished member alone when the
-    family has more degree classes than FAMILY_CLASS_CAP."""
-    FactorParams(a, b, k)  # validates the shape
+    order bound.  Needs a <= 5 so the class list stays small."""
+    _family_guard(a, b, k)
     result = partial(CheckResult, "family-radius-bracket", {"a": a, "b": b, "k": k, "n": n})
     need = bracket_min_n(a, b, k)
     if n < need:
         return _not_met(result, need, "bracket claim")
-    fp = ExtremalParams(a, b, k, n)
-    classes = family_degree_classes(fp)
-    if len(classes) > FAMILY_CLASS_CAP:
-        members: Iterable[Graph] = [extremal_graph(fp)]
-        scope = f"distinguished member only ({len(classes)} classes exceed cap {FAMILY_CLASS_CAP})"
-    else:
-        members = enumerate_family(fp)
-        scope = f"all {len(classes)} degree-class representatives"
+    members = list(enumerate_family(ExtremalParams(a, b, k, n)))
+    scope = f"all {len(members)} degree-class representatives"
     lo = float(n - b - 2)
     hi = float(n - b - 1)
     lam_min = math.inf
@@ -245,9 +246,7 @@ def check_family_maximality(a: int, b: int, k: int, n: int) -> CheckResult:
     family's degree-class representatives (margin 1e-9) once n meets the
     maximality claim's order bound.  Needs a <= 5 so the class list stays
     small."""
-    FactorParams(a, b, k)  # validates the shape
-    if a > 5:
-        raise ValueError(f"family enumeration is capped at a <= 5, got a={a}")
+    _family_guard(a, b, k)
     result = partial(CheckResult, "family-maximality", {"a": a, "b": b, "k": k, "n": n})
     need = maximality_min_n(a, b, k)
     if n < need:
@@ -406,10 +405,9 @@ def perron_ratio_cubic(a: int, b: int, k: int, n: int, lam0: float) -> float:
 def _perron_metrics(g: Graph, a: int, b: int, k: int, n: int) -> dict:
     """Radius, the four class-equation residuals and the ratio identity
     of check_perron_system, read off g's Perron vector."""
-    fp = ExtremalParams(a, b, k, n)
     report = spectral_radius(g)
     lam0, y = report.lam, report.perron
-    u1, w1, wa, t1, t2 = 0, fp.w_start, fp.w_start + (a - 1), fp.t1, fp.t1 + 1
+    u1, w1, wa, t1, t2 = (part[0] for part in equitable_partition(ExtremalParams(a, b, k, n)))
     g_val = perron_ratio_cubic(a, b, k, n, lam0)
     ratio_lhs = y[t1] / y[t2]
     ratio_rhs = lam0 * (lam0 + 1.0) * (lam0 - (n - 2 * a - b - k - 1)) / g_val
@@ -701,15 +699,14 @@ def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
     if failure:
         return failure
     metrics["block_deficiency"] = cert.deficiency
-    route = "subset-sweep decider" if n <= SUBSET_SWEEP_CAP else "fixed certificate"
-    if n <= 200:
-        metrics["lambda"] = spectral_radius(g).lam
+    metrics["lambda"] = spectral_radius(g).lam
     return result(
         "pass",
         metrics,
         notes=(
-            f"{route}; the graph meets the radius hypothesis trivially and the "
-            "minimum-degree hypothesis with equality, yet is not critical"
+            f"{_sharpness_route(g)}; the graph meets the radius hypothesis "
+            "trivially and the minimum-degree hypothesis with equality, yet is "
+            "not critical"
         ),
     )
 
@@ -1005,44 +1002,28 @@ def _hong_evidence(ce: dict) -> tuple:
     return g, spectral_radius(g).lam, hong_bound(g)
 
 
-def _labels_in_range(g: Graph, labels) -> bool:
-    return all(0 <= w < g.n for w in labels)
-
-
 def _monotonicity_evidence(ce: dict) -> tuple:
-    """An instance that names a vertex outside the graph, an entry that is
-    not an edge, or one edge twice gets a reduced radius of -inf, so it
-    never counts."""
+    """`without_edge` rejects a removed entry that names a vertex outside
+    the graph, is not an edge, or repeats an edge."""
     g = deserialize_graph(ce["graph"])
-    lam = spectral_radius(g).lam
-    removed = ce["removed"]
-    if not (
-        all(len(e) == 2 and _labels_in_range(g, e) and g.has_edge(*e) for e in removed)
-        and len({frozenset(e) for e in removed}) == len(removed)
-    ):
-        return lam, -math.inf, ce["margin"]
     sub = g
-    for u, v in removed:
+    for u, v in ce["removed"]:
         sub = sub.without_edge(u, v)
-    return lam, spectral_radius(sub).lam, ce["margin"]
+    return spectral_radius(g).lam, spectral_radius(sub).lam, ce["margin"]
 
 
 def _rotation_evidence(ce: dict) -> tuple:
-    """An instance that breaks the rotation lemma's hypotheses (a vertex
-    outside the graph, x_u < x_v, a moved vertex listed twice, or one
-    that is u, not a neighbor of v, or already adjacent to u) gets an
-    infinite rotated radius, so it never counts."""
+    """The rotation lemma's hypotheses that no edit enforces: u and v are
+    distinct vertices of the graph with x_u >= x_v.  An instance that
+    breaks them gets an infinite rotated radius, so it never counts;
+    `_rotate` rejects a moved vertex listed twice, or one that is u, not
+    a neighbor of v, or already adjacent to u."""
     g = deserialize_graph(ce["graph"])
     report = spectral_radius(g)
     u, v, moved = ce["u"], ce["v"], ce["moved"]
-    legal = (
-        _labels_in_range(g, (u, v, *moved))
-        and report.perron[u] >= report.perron[v]
-        and len(set(moved)) == len(moved)
-        and all(w != u and g.has_edge(v, w) and not g.has_edge(u, w) for w in moved)
-    )
-    lam_rot = spectral_radius(_rotate(g, u, v, moved)).lam if legal else math.inf
-    return report.lam, lam_rot, ce["margin"]
+    if not (0 <= u < g.n and 0 <= v < g.n and u != v and report.perron[u] >= report.perron[v]):
+        return report.lam, math.inf, ce["margin"]
+    return report.lam, spectral_radius(_rotate(g, u, v, moved)).lam, ce["margin"]
 
 
 # kind -> (predicate, evidence).  The check that raises a kind decides
@@ -1116,12 +1097,17 @@ _COUNTEREXAMPLES: dict[str, tuple[Callable[..., bool], Callable[[dict], tuple]]]
 
 def revalidate_counterexample(ce: dict) -> bool:
     """Confirm a counterexample from its serialization alone: re-derive
-    the claimed discrepancy and return True iff it reproduces."""
+    the claimed discrepancy and return True iff it reproduces.  A
+    counterexample with a missing or ill-formed field does not reproduce;
+    an unknown or missing kind raises ValueError."""
+    kind = ce.get("kind")
+    if kind not in _COUNTEREXAMPLES:
+        raise ValueError(f"unknown counterexample kind {kind!r}")
+    predicate, evidence = _COUNTEREXAMPLES[kind]
     try:
-        predicate, evidence = _COUNTEREXAMPLES[ce["kind"]]
-    except KeyError:
-        raise ValueError(f"unknown counterexample kind {ce['kind']!r}") from None
-    return predicate(*evidence(ce))
+        return predicate(*evidence(ce))
+    except (KeyError, TypeError, ValueError, IndexError):
+        return False
 
 
 # -- battery --------------------------------------------------------------------

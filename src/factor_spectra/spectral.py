@@ -27,6 +27,9 @@ from operator import truediv
 
 from .graphs import Graph
 
+TOL = 1e-10
+MAX_ITER = 100000
+
 
 class ConvergenceError(RuntimeError):
     """Power iteration failed to converge within the iteration budget."""
@@ -60,7 +63,7 @@ class SpectralReport:
         }
 
 
-def spectral_radius(g: Graph, tol: float = 1e-10, max_iter: int = 100000) -> SpectralReport:
+def spectral_radius(g: Graph, tol: float = TOL, max_iter: int = MAX_ITER) -> SpectralReport:
     """Spectral radius and Perron vector of the adjacency matrix.
 
     Requires n >= 1.  Raises ConvergenceError if the tolerance is not met
@@ -78,7 +81,7 @@ def radius_unless_below(g: Graph, below: float) -> SpectralReport | None:
     It is tested only while min(x) > 0.  The iterates, and so the report,
     are those of `spectral_radius`: the screen only adds an earlier exit.
     """
-    return _power_iteration(g, 1e-10, 100000, below)
+    return _power_iteration(g, TOL, MAX_ITER, below)
 
 
 def _power_iteration(
@@ -226,7 +229,7 @@ def quotient_spectral_radius(g: Graph, parts: list[list[int]]) -> float:
     # symmetric, so convergence is judged on the estimate and the residual
     x = [1.0] * m
     rho_prev = float("inf")
-    for _ in range(100000):
+    for _ in range(MAX_ITER):
         y = [x[i] + sum(quo.entries[i][j] * x[j] for j in range(m)) for i in range(m)]
         dot_xy = sum(a * b for a, b in zip(x, y))
         dot_xx = sum(a * a for a in x)

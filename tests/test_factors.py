@@ -15,7 +15,9 @@ import ast
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -304,16 +306,42 @@ def test_fractional_verdicts_match_linear_programming():
     assert 50 < feasible < 250
 
 
+def _import_statements(path: Path) -> list:
+    return [
+        node
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+
+
 def test_oracles_import_nothing_from_criticality():
     # the oracles are the independent side of every decider cross-check,
     # so factors.py must not reach the deficiency machinery it checks
-    tree = ast.parse(open(factors.__file__).read())
     imported = set()
-    for node in ast.walk(tree):
+    for node in _import_statements(Path(factors.__file__)):
         if isinstance(node, ast.ImportFrom):
             imported.add(node.module or "")
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
+        imported.update(alias.name for alias in node.names)
     assert imported, "no imports parsed"
     assert not any("criticality" in name.split(".") for name in imported)
+
+
+def test_package_imports_only_the_standard_library():
+    # the package has no runtime dependencies: every absolute import names
+    # a standard-library module or the package itself
+    modules = sorted(Path(factors.__file__).parent.glob("*.py"))
+    assert len(modules) > 1
+    for path in modules:
+        for node in _import_statements(path):
+            if isinstance(node, ast.ImportFrom):
+                if node.level:
+                    continue  # relative, so inside the package
+                names = [node.module]
+            else:
+                names = [alias.name for alias in node.names]
+            for name in names:
+                root = name.split(".")[0]
+                assert root in sys.stdlib_module_names or root == "factor_spectra", (
+                    path.name,
+                    name,
+                )

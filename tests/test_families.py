@@ -17,7 +17,6 @@ from factor_spectra.criticality import (
 )
 from factor_spectra.families import (
     ExtremalParams,
-    FamilyAssignment,
     base_join_graph,
     class_representative,
     enumerate_family,
@@ -154,13 +153,13 @@ class TestFamily:
     def test_assignment_validation(self):
         p = ExtremalParams(3, 3, 0, 12)
         with pytest.raises(ValueError):
-            family_member(p, FamilyAssignment(((0, 0), (), (), ())))  # repeat endpoint
+            family_member(p, ((0, 0), (), (), ()))  # repeat endpoint
         with pytest.raises(ValueError):
-            family_member(p, FamilyAssignment(((0,), (), (), ())))  # only 1 edge
+            family_member(p, ((0,), (), (), ()))  # only 1 edge
         with pytest.raises(ValueError):
-            family_member(p, FamilyAssignment(((0, 1), (), ())))  # wrong arity
+            family_member(p, ((0, 1), (), ()))  # wrong arity
         with pytest.raises(ValueError):
-            family_member(p, FamilyAssignment(((0, 99), (), (), ())))  # bad offset
+            family_member(p, ((0, 99), (), (), ()))  # bad offset
 
     def test_shared_vs_disjoint_placements_differ(self):
         # two placements with the same multiset need not be isomorphic:
@@ -168,7 +167,7 @@ class TestFamily:
         # endpoints give different degree sequences
         p = ExtremalParams(3, 3, 0, 12)
         disjoint = class_representative(p, (1, 1))
-        shared = family_member(p, FamilyAssignment(((0,), (0,), (), ())))
+        shared = family_member(p, ((0,), (0,), (), ()))
         assert sorted(disjoint.degrees()) != sorted(shared.degrees())
 
     def test_a1_family_is_base(self):

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from factor_spectra.families import ExtremalParams, extremal_graph
 from factor_spectra.graphs import (
     Graph,
+    bits,
     complete_bipartite,
     complete_graph,
+    component,
     cycle_graph,
     deserialize_graph,
     disjoint_union,
@@ -143,6 +145,19 @@ class TestBasics:
         assert not Graph.from_edges(3, []).is_connected()
         with pytest.raises(ValueError):
             empty_graph(0).is_connected()
+
+    def test_component_within_allowed_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            g = random_graph(n, rng.uniform(0.1, 0.7), rng)
+            allowed = rng.getrandbits(n) | 1 << rng.randrange(n)
+            seed = rng.choice(list(bits(allowed)))
+            induced = nx.Graph(g.edges()).subgraph(bits(allowed)).copy()
+            induced.add_nodes_from(bits(allowed))
+            expected = sum(1 << v for v in nx.node_connected_component(induced, seed))
+            assert component(g.adj, 1 << seed, allowed) == expected, (g.adj, allowed, seed)
 
     def test_edit_ops(self):
         g = path_graph(3)

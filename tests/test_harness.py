@@ -122,12 +122,12 @@ def test_bracket_checks_every_class_representative():
     assert r.metrics["members_checked"] == 2
 
 
-def test_bracket_class_cap_falls_back_to_distinguished(monkeypatch):
-    monkeypatch.setattr(harness, "FAMILY_CLASS_CAP", 1)
-    r = check_family_radius_bracket(3, 3, 0, 16)
-    assert r.status == "pass"
-    assert r.metrics["members_checked"] == 1
-    assert "distinguished member only" in r.notes
+def test_family_checks_share_the_class_cap():
+    # both family checks refuse a > 5 at once, below and above the order bound
+    for check in (check_family_radius_bracket, check_family_maximality):
+        for n in (10, 60):
+            with pytest.raises(ValueError, match="a <= 5"):
+                check(6, 6, 0, n)
 
 
 # -- family maximality -----------------------------------------------------------
@@ -311,6 +311,13 @@ def test_sharpness_all_targets_at_minimal_order():
         assert r.status == "pass", (target, r.notes)
         assert r.metrics["delta"] == a + k
         assert r.metrics["block_deficiency"] == 1
+
+
+def test_sharpness_reports_lambda_past_n_200():
+    r = check_sharpness(1, 2, 0, 201, "spectral-integral")
+    assert r.status == "pass"
+    assert 201 - 2 - 2 < r.metrics["lambda"] < 201 - 2 - 1
+    assert r.notes.startswith("fixed-certificate route;")
 
 
 def test_sharpness_has_no_size_target():
@@ -540,6 +547,9 @@ def test_revalidate_certificate_kind():
     assert revalidate_counterexample(ce)
     ce["expected_deficiency"] = 1
     assert not revalidate_counterexample(ce)
+    # an ill-formed window or graph does not reproduce, and raises nothing
+    assert revalidate_counterexample({**ce, "a": 0}) is False
+    assert revalidate_counterexample({**ce, "graph": {"format": "graph6", "data": "I?"}}) is False
 
 
 def test_revalidate_decider_agreement_kinds():
@@ -562,6 +572,8 @@ def test_revalidate_decider_agreement_kinds():
         "histogram": 1,
     }
     assert not revalidate_counterexample(ce2)
+    ce2.update(graph=serialize_graph(cycle_graph(5)), s_set=[7])
+    assert revalidate_counterexample(ce2) is False
 
 
 def test_revalidate_monotonicity_kind():
@@ -578,7 +590,8 @@ def test_revalidate_monotonicity_kind():
     # a label outside the graph, an entry that is not an edge or one edge
     # listed twice never reproduces, and raises nothing
     for removed in (
-        [[0, -1]], [[-1, 0]], [[0, 5]], [[0, 1], [5, 0]], [[0, 2]], [[0, 1], [0, 1]], [[0]]
+        [[0, -1]], [[-1, 0]], [[0, 5]], [[0, 1], [5, 0]], [[0, 2]], [[0, 1], [0, 1]], [[0]],
+        [[0.5, 1]], 3,
     ):
         ce["removed"] = removed
         assert revalidate_counterexample(ce) is False
@@ -601,7 +614,8 @@ def test_revalidate_rotation_kind():
     assert not revalidate_counterexample(ce)
     # so is a label outside the graph or a moved vertex listed twice, without raising
     for u, v, moved in [
-        (-1, 2, [3]), (5, 2, [3]), (0, -1, [3]), (0, 5, [3]), (0, 2, [-1]), (0, 2, [3, 3])
+        (-1, 2, [3]), (5, 2, [3]), (0, -1, [3]), (0, 5, [3]), (0, 2, [-1]), (0, 2, [3, 3]),
+        (0, 2, [0.5]), (0, 2, 3), (2, 2, [3]),
     ]:
         ce.update(u=u, v=v, moved=moved)
         assert revalidate_counterexample(ce) is False
@@ -707,8 +721,9 @@ def test_revalidate_perron_kind():
 
 
 def test_revalidate_unknown_kind():
-    with pytest.raises(ValueError):
-        revalidate_counterexample({"kind": "no-such-kind"})
+    for ce in ({"kind": "no-such-kind"}, {}):
+        with pytest.raises(ValueError):
+            revalidate_counterexample(ce)
 
 
 # -- battery ---------------------------------------------------------------------------
