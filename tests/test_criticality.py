@@ -367,6 +367,35 @@ class TestParityDecider:
             "e2c025bbc3231002dc78abd20801861ca067c4f8472bbbe57b8538d82c4d6ea8"
         )
 
+    def test_verdicts_pinned_at_explorer_order(self, monkeypatch):
+        # every certificate (or None) at n = 12, the explorer's order: the
+        # graphs explore_conjecture(2, 0, 12, 1500, s) decides for s = 0-2,
+        # then 40 seeded dense random graphs at (2, 0) and (2, 1)
+        from factor_spectra import harness
+
+        sent = []
+        decide = harness.is_rk_critical
+
+        def recording(g, r, k):
+            sent.append((g, r, k, decide(g, r, k)))
+            return sent[-1][-1]
+
+        monkeypatch.setattr(harness, "is_rk_critical", recording)
+        for seed in range(3):
+            harness.explore_conjecture(2, 0, 12, 1500, seed)
+        monkeypatch.undo()
+        rng = random.Random(2027)
+        for _ in range(40):
+            g = random_graph(12, rng.choice([0.6, 0.75, 0.9]), rng)
+            sent += [(g, r, k, is_rk_critical(g, r, k)) for r, k in ((2, 0), (2, 1))]
+        digest = hashlib.sha256()
+        for g, r, k, cert in sent:
+            digest.update(json.dumps([g.adj, r, k, None if cert is None else cert.to_json()]).encode())
+        assert len(sent) == 165
+        assert digest.hexdigest() == (
+            "b4e7a520754f31eb53146829842d352eff9ac6bf2ef0133003460dbe2605ef01"
+        )
+
     def test_bounds_skip_complete_graph_sweep(self, monkeypatch):
         # K12 is (2, 0)-critical; the parity lemma and the edge cap on h
         # leave only the twelve singleton Y with X empty to count
