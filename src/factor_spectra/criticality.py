@@ -28,12 +28,17 @@ Deciders sweep candidate sets in increasing size, then lexicographic
 order, and return the first violating set as a DeficiencyCertificate
 (deficiency = the amount by which the inequality fails; violating iff
 > 0), so certificates are deterministic and minimal in that order.  A
-returned None means critical.  Callers pass a route name ("integral",
+returned None means critical.  The parity decider asks for witnesses
+first: on a graph of minimum degree >= r + k it calls `find_r_factor`
+once for G - K per k-set K, and answers critical when every call finds
+a factor; otherwise the pair sweep runs and gives the certificate.
+Callers pass a route name ("integral",
 "fractional" or "parity") through and never branch on it: `route_params`,
 `certificate_at`, `decide` and `recheck_certificate` own each route's
 parameter shape, deficiency, T threshold and sweep.
 `critical_by_definition` is the independent brute-force route used to
-cross-validate the deciders.
+cross-validate the deciders; its parity mode backtracks with
+`find_ab_factor`, so it shares no factor oracle with `is_rk_critical`.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .factors import find_ab_factor, find_fractional_factor
+from .factors import find_ab_factor, find_fractional_factor, find_r_factor
 from .graphs import Graph, bits, component
 
 SUBSET_SWEEP_CAP = 20
@@ -337,6 +342,30 @@ def is_rk_critical(g: Graph, r: int, k: int) -> DeficiencyCertificate | None:
     else the first violating disjoint pair (X, Y), X by size/lex, then Y
     by size/lex, as a parity certificate.
 
+    Witness first: when min degree >= r + k, which every (r, k)-critical
+    graph has, `find_r_factor` is asked for an r-factor of G - K for each
+    k-set K, and each factor it returns has passed `validate_witness`.
+    If every K has one, G is critical.  Otherwise, or when the degree test
+    fails, the pair sweep runs and finds the certificate, so the output
+    is the sweep's either way.  PAIR_SWEEP_CAP bounds n on both routes.
+    """
+    route_params("parity", r, k)
+    if g.n < r + k + 1:
+        raise ValueError(f"need n >= r + k + 1 = {r + k + 1}, got n={g.n}")
+    if g.n > PAIR_SWEEP_CAP:
+        raise ValueError(f"n={g.n} exceeds the pair sweep cap {PAIR_SWEEP_CAP}")
+    if g.min_degree() >= r + k and all(
+        find_r_factor(g.delete_vertices(kill) if kill else g, r) is not None
+        for kill in itertools.combinations(range(g.n), k)
+    ):
+        return None
+    return _pair_sweep(g, r, k)
+
+
+def _pair_sweep(g: Graph, r: int, k: int) -> DeficiencyCertificate | None:
+    """The first violating pair (X, Y) in is_rk_critical's order, or None;
+    the caller has checked r, k and n.
+
     Pairs are skipped, never reordered, when a sound lower bound on the
     surplus r(|X| - k) + sum_Y (d_{G-X}(v) - r) - h(X, Y) proves them
     clean, so exactness and the first violation are unaffected:
@@ -355,11 +384,7 @@ def is_rk_critical(g: Graph, r: int, k: int) -> DeficiencyCertificate | None:
       when the lowest slice bound over all l clears, and the sweep ends
       once |X| alone makes that certain.
     """
-    params = route_params("parity", r, k)
-    if g.n < r + k + 1:
-        raise ValueError(f"need n >= r + k + 1 = {r + k + 1}, got n={g.n}")
-    if g.n > PAIR_SWEEP_CAP:
-        raise ValueError(f"n={g.n} exceeds the pair sweep cap {PAIR_SWEEP_CAP}")
+    params = FactorParams(r, r, k)
     adj = g.adj
     n = g.n
     # a violating surplus is negative and congruent to r(n - k) (mod 2)

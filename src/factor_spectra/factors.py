@@ -1,7 +1,7 @@
 """Witness oracles for degree-constrained factors.
 
-Two independent routes that never consult the deficiency characterizations,
-so decider results can be cross-validated against them:
+Three routes that never consult the deficiency characterizations, so
+decider results can be cross-validated against them:
 
 * find_ab_factor: exhaustive backtracking over edge subsets for a spanning
   subgraph with all degrees in [a, b].  Deliberately desk-scale (edge count
@@ -16,8 +16,15 @@ so decider results can be cross-validated against them:
   any network is built.  Otherwise the network is flat arc lists without
   zero-capacity arcs, and one Dinic function with an iterative
   blocking-flow search solves it.
+* find_r_factor: an r-factor as a perfect matching of Tutte's gadget
+  (two vertices per edge, deg(v) - r core vertices per vertex), found by
+  a non-recursive Edmonds blossom search from a greedy r-bounded edge
+  choice.  A vertex of degree below r, or an odd r n, answers None
+  before any gadget is built.  `is_rk_critical` asks it for witnesses;
+  `critical_by_definition` keeps to find_ab_factor, so the decider and
+  the definition it is checked against share no oracle.
 
-Both kinds of witness are validated in half-units: every weight and degree
+Every witness is validated in half-units: every weight and degree
 is read as an int count of halves from its numerator and denominator, so
 validation is exact int arithmetic, with no floating point and no Fraction
 sums.
@@ -25,6 +32,7 @@ sums.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,26 +87,25 @@ def validate_witness(g: Graph, witness: FactorWitness, a: int, b: int) -> None:
         weighted = witness.weights
     else:
         raise ValueError(f"unknown witness kind {witness.kind!r}")
-    deg = [0] * g.n  # half-units
+    n, adj = g.n, g.adj
+    deg = [0] * n  # half-units
     seen = set()
     for u, v, w in weighted:
         # range check first: a negative label would index adj from the end
-        if not (0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)):
+        if not (0 <= u < n and 0 <= v < n and adj[u] >> v & 1):
             raise ValueError(f"witness edge ({u},{v}) not in the graph")
-        key = (min(u, v), max(u, v))
+        key = (u, v) if u < v else (v, u)
         if key in seen:
             raise ValueError(f"witness repeats edge ({u},{v})")
         seen.add(key)
         half = _in_halves(w)
-        if half not in (1, 2):
+        if half != 1 and half != 2:
             raise ValueError(f"weight {w} on ({u},{v}) is not exactly 1/2 or 1")
         deg[u] += half
         deg[v] += half
-    if len(witness.degrees) != g.n or any(
-        _in_halves(d) != half for d, half in zip(witness.degrees, deg)
-    ):
+    if len(witness.degrees) != n or list(map(_in_halves, witness.degrees)) != deg:
         raise ValueError("witness degrees do not match its edges")
-    for v in range(g.n):
+    for v in range(n):
         if not 2 * a <= deg[v] <= 2 * b:
             raise ValueError(
                 f"vertex {v} has witness degree {Fraction(deg[v], 2)} not in [{a},{b}]"
@@ -304,3 +311,152 @@ def find_fractional_factor(g: Graph, a: int, b: int) -> FactorWitness | None:
     )
     validate_witness(g, witness, a, b)
     return witness
+
+
+# -- parity oracle via Tutte's gadget ------------------------------------------
+
+
+def _tutte_gadget(edges: list[tuple[int, int]], degrees, r: int) -> list[list[int]]:
+    """Adjacency lists of Tutte's gadget, which has a perfect matching iff
+    the graph has an r-factor.  Edge e = (u, v) gives two outer vertices,
+    2e (its end at u) and 2e + 1 (its end at v), joined to each other;
+    vertex v gives d(v) - r core vertices, each joined to every outer
+    vertex at v.  Cores take d(v) - r of v's ends, so the r ends left must
+    match across their edges, and those edges form the factor.  The cores
+    of one vertex share one neighbour list."""
+    at: list[list[int]] = [[] for _ in degrees]  # outer vertices at v
+    for e, (u, v) in enumerate(edges):
+        at[u].append(2 * e)
+        at[v].append(2 * e + 1)
+    adj = [[x ^ 1] for x in range(2 * len(edges))]
+    for ends, d in zip(at, degrees):
+        cores = range(len(adj), len(adj) + d - r)
+        for x in ends:
+            adj[x] += cores
+        adj += [ends] * (d - r)
+    return adj
+
+
+def _augment(adj: list[list[int]], match: list[int], root: int) -> bool:
+    """Edmonds' blossom search for an augmenting path from the free vertex
+    root; flips it into `match` and returns True if there is one.
+
+    Breadth-first over even vertices, with each blossom shrunk onto its
+    base through `base` as it closes.  Loops only, no recursion."""
+    n = len(adj)
+    base = list(range(n))
+    parent = [-1] * n  # the even vertex each odd vertex was reached from
+    even = [False] * n
+    even[root] = True
+    queue = [root]
+
+    def lca(a: int, b: int) -> int:
+        """The base of the blossom closed by the edge (a, b)."""
+        seen = [False] * n
+        while True:
+            a = base[a]
+            seen[a] = True
+            if match[a] < 0:
+                break
+            a = parent[match[a]]
+        while not seen[base[b]]:
+            b = parent[match[base[b]]]
+        return base[b]
+
+    def mark(v: int, top: int, child: int, blossom: list[bool]) -> None:
+        """Flag the bases from v down to top, pointing odd vertices on the
+        way back through child so the path can be walked either way."""
+        while base[v] != top:
+            blossom[base[v]] = blossom[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[child]
+
+    for v in queue:
+        for w in adj[v]:
+            if base[v] == base[w] or match[v] == w:
+                continue
+            if w == root or match[w] >= 0 and parent[match[w]] >= 0:
+                top = lca(v, w)
+                blossom = [False] * n
+                mark(v, top, w, blossom)
+                mark(w, top, v, blossom)
+                for u in range(n):
+                    if blossom[base[u]]:
+                        base[u] = top
+                        if not even[u]:
+                            even[u] = True
+                            queue.append(u)
+            elif parent[w] < 0:
+                parent[w] = v
+                if match[w] < 0:
+                    # flip the path root ... parent[w], w
+                    while w >= 0:
+                        u = parent[w]
+                        nxt = match[u]
+                        match[w], match[u] = u, w
+                        w = nxt
+                    return True
+                even[match[w]] = True
+                queue.append(match[w])
+    return False
+
+
+def find_r_factor(g: Graph, r: int) -> FactorWitness | None:
+    """r-factor (every degree exactly r), or None.
+
+    A greedy pass takes edges, those between low-degree vertices first,
+    while both ends have fewer than r.  If that leaves a vertex short, the
+    choice seeds a perfect matching search in Tutte's gadget, which
+    either completes it or proves that no r-factor exists.  A vertex of
+    degree below r, or an odd r n, answers None before any of this.
+    """
+    if r < 0:
+        raise ValueError(f"need r >= 0, got r={r}")
+    degrees = g.degrees()
+    if r * g.n % 2 or any(d < r for d in degrees):
+        return None
+    edges = g.edges()
+    chosen = [0] * g.n
+    picked = [False] * len(edges)
+    weight = [degrees[u] + degrees[v] for u, v in edges]
+    for e in sorted(range(len(edges)), key=weight.__getitem__):
+        u, v = edges[e]
+        if chosen[u] < r and chosen[v] < r:
+            chosen[u] += 1
+            chosen[v] += 1
+            picked[e] = True
+    if sum(chosen) < r * g.n:
+        picked = _complete_r_factor(edges, degrees, r, picked)
+        if picked is None:
+            return None
+    witness = FactorWitness(
+        kind="integral",
+        edges=tuple(itertools.compress(edges, picked)),
+        weights=None,
+        degrees=(r,) * g.n,
+    )
+    validate_witness(g, witness, r, r)
+    return witness
+
+
+def _complete_r_factor(edges, degrees, r: int, picked: list[bool]) -> list[bool] | None:
+    """An r-factor, as one flag per edge, grown from the r-bounded choice
+    `picked` through a perfect matching of Tutte's gadget; None if the
+    gadget has none.  The picked edges are matched across and each core
+    takes an unpicked end, which leaves only the ends the choice left
+    short free.  A free end without an augmenting path is missed by some
+    maximum matching, so then no perfect matching exists."""
+    adj = _tutte_gadget(edges, degrees, r)
+    ends = 2 * len(edges)
+    match = [-1] * len(adj)
+    for e in itertools.compress(range(len(edges)), picked):
+        match[2 * e], match[2 * e + 1] = 2 * e + 1, 2 * e
+    # a vertex has at least d(v) - r unpicked ends, one for each core
+    for c in range(ends, len(adj)):
+        x = next(x for x in adj[c] if match[x] < 0)
+        match[c], match[x] = x, c
+    for x in range(ends):
+        if match[x] < 0 and not _augment(adj, match, x):
+            return None
+    return [match[2 * e] == 2 * e + 1 for e in range(len(edges))]

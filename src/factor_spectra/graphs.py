@@ -415,27 +415,34 @@ def isomorphic(g: Graph, h: Graph) -> bool:
     order = sorted(range(g.n), key=lambda v: (len(pool[cg[v]]), cg[v], v))
     image = [-1] * g.n
     used = [False] * h.n
-
-    def extend(i: int) -> bool:
-        if i == g.n:
-            return True
+    # depth-first over order[i]'s candidates, tried in pool order; tried[i]
+    # counts the candidates of order[i] already taken or passed over
+    tried = [0] * (g.n + 1)
+    i = 0
+    while i < g.n:
         v = order[i]
-        for w in pool[cg[v]]:
-            if used[w]:
-                continue
-            if all(
+        cands = pool[cg[v]]
+        while tried[i] < len(cands):
+            w = cands[tried[i]]
+            tried[i] += 1
+            if not used[w] and all(
                 g.has_edge(order[j], v) == h.has_edge(image[order[j]], w)
                 for j in range(i)
             ):
                 image[v] = w
                 used[w] = True
-                if extend(i + 1):
-                    return True
-                used[w] = False
-                image[v] = -1
-        return False
-
-    return extend(0)
+                i += 1
+                tried[i] = 0
+                break
+        else:
+            # order[i] has no candidate left: undo order[i - 1]'s image
+            i -= 1
+            if i < 0:
+                return False
+            u = order[i]
+            used[image[u]] = False
+            image[u] = -1
+    return True
 
 
 # -- random instances ----------------------------------------------------------

@@ -17,7 +17,7 @@ import tracemalloc
 
 import pytest
 
-from factor_spectra import criticality
+from factor_spectra import criticality, factors
 from factor_spectra.criticality import (
     DeficiencyCertificate,
     FactorParams,
@@ -41,6 +41,7 @@ from factor_spectra.graphs import (
     enumerate_graphs,
     path_graph,
 )
+from factor_spectra.factors import find_r_factor
 
 P120 = FactorParams(1, 2, 0)
 P121 = FactorParams(1, 2, 1)
@@ -398,7 +399,7 @@ class TestParityDecider:
 
     def test_bounds_skip_complete_graph_sweep(self, monkeypatch):
         # K12 is (2, 0)-critical; the parity lemma and the edge cap on h
-        # leave only the twelve singleton Y with X empty to count
+        # leave the sweep only the twelve singleton Y with X empty to count
         calls = []
         counter = criticality._count_odd_components_mask
 
@@ -407,8 +408,40 @@ class TestParityDecider:
             return counter(*args)
 
         monkeypatch.setattr(criticality, "_count_odd_components_mask", counting)
-        assert is_rk_critical(complete_graph(12), 2, 0) is None
+        # the sweep itself: is_rk_critical settles K12 on its r-factor
+        assert criticality._pair_sweep(complete_graph(12), 2, 0) is None
         assert len(calls) <= 12
+
+    def test_pair_sweep_agrees_with_r_factor_oracle(self):
+        # the sweep finds no violation exactly when G - K has an r-factor
+        # for every k-set K, on every connected graph with n <= 6 and on
+        # seeded random graphs with n = 7-12
+        corpus = [g for n in range(1, 7) for g in enumerate_graphs(n, connected_only=True)]
+        rng = random.Random(2031)
+        corpus += [random_graph(rng.randint(7, 12), rng.choice([0.3, 0.5, 0.7, 0.9]), rng) for _ in range(300)]
+        verdicts = set()
+        for g in corpus:
+            for r, k in ((2, 0), (2, 1), (3, 0), (3, 1), (4, 0)):
+                if g.n < r + k + 1:
+                    continue
+                factored = all(
+                    find_r_factor(g.delete_vertices(kill), r) is not None
+                    for kill in itertools.combinations(range(g.n), k)
+                )
+                assert (criticality._pair_sweep(g, r, k) is None) == factored
+                verdicts.add(factored)
+        assert verdicts == {True, False}
+
+    def test_definition_needs_no_r_factor_oracle(self, monkeypatch):
+        # criteria 06-08 compare is_rk_critical with critical_by_definition,
+        # so the two share no factor oracle
+        def refuse(*args):
+            raise AssertionError("critical_by_definition reached find_r_factor")
+
+        monkeypatch.setattr(criticality, "find_r_factor", refuse)
+        monkeypatch.setattr(factors, "find_r_factor", refuse)
+        assert critical_by_definition(complete_graph(6), FactorParams(2, 2, 1), "parity")
+        assert not critical_by_definition(cycle_graph(6), FactorParams(2, 2, 1), "parity")
 
     def test_r_below_two_rejected(self):
         with pytest.raises(ValueError):

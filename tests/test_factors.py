@@ -26,6 +26,7 @@ from factor_spectra.factors import (
     FactorWitness,
     find_ab_factor,
     find_fractional_factor,
+    find_r_factor,
     validate_witness,
 )
 from factor_spectra.graphs import (
@@ -38,6 +39,10 @@ from factor_spectra.graphs import (
     enumerate_graphs,
     path_graph,
 )
+
+
+def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
 class TestIntegralOracle:
@@ -168,6 +173,105 @@ class TestFractionalOracle:
                 validate_witness(g, w, a, b)
                 found += 1
         assert found > 20
+
+
+class TestParityOracle:
+    def test_small_facts(self):
+        assert find_r_factor(cycle_graph(7), 2).edges == tuple(cycle_graph(7).edges())
+        assert len(find_r_factor(complete_graph(6), 1).edges) == 3
+        assert find_r_factor(cycle_graph(5), 1) is None  # odd r n
+        assert find_r_factor(complete_bipartite(1, 3), 2) is None
+        assert find_r_factor(path_graph(3), 0).edges == ()
+
+    def test_every_factor_validates(self):
+        rng = random.Random(37)
+        found = 0
+        for _ in range(300):
+            g = _random_graph(rng, rng.randint(1, 14), rng.choice([0.3, 0.5, 0.8]))
+            r = rng.randint(1, 4)
+            w = find_r_factor(g, r)
+            if w is not None:
+                validate_witness(g, w, r, r)
+                assert w.kind == "integral" and w.degrees == (r,) * g.n
+                found += 1
+        assert found > 50
+
+    def test_agrees_with_backtracking(self):
+        # every graph with n <= 5, then seeded random graphs up to n = 10,
+        # all within the backtracking oracle's edge cap
+        corpus = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+        rng = random.Random(43)
+        corpus += [_random_graph(rng, rng.randint(6, 10), rng.choice([0.3, 0.5, 0.7])) for _ in range(300)]
+        factors_found = 0
+        for g in corpus:
+            if g.edge_count > factors.BACKTRACK_EDGE_CAP:
+                continue
+            for r in (1, 2, 3):
+                got = find_r_factor(g, r)
+                assert (got is None) == (find_ab_factor(g, r, r) is None)
+                factors_found += got is not None
+        assert factors_found > 400
+
+    def test_agrees_with_networkx_gadget(self):
+        # an independent Tutte gadget (cores joined to the ends of a
+        # vertex's edges) solved by networkx's maximum matching
+        nx = pytest.importorskip("networkx")
+
+        def gadget_says(g: Graph, r: int) -> bool:
+            if any(d < r for d in g.degrees()):
+                return False
+            h = nx.Graph()
+            for u, v in g.edges():
+                h.add_edge(("end", u, v), ("end", v, u))
+            for v in range(g.n):
+                ends = [("end", v, u) for u in g.neighbors(v)]
+                for c in range(g.degree(v) - r):
+                    h.add_edges_from((("core", v, c), x) for x in ends)
+            matching = nx.max_weight_matching(h, maxcardinality=True)
+            return 2 * len(matching) == h.number_of_nodes()
+
+        rng = random.Random(59)
+        corpus = [cycle_graph(16), cycle_graph(20)]
+        corpus += [_random_graph(rng, rng.randint(8, 14), rng.choice([0.25, 0.4])) for _ in range(40)]
+        answers = set()
+        for g in corpus:
+            for r in (2, 3):
+                want = gadget_says(g, r)
+                assert (find_r_factor(g, r) is not None) == want
+                answers.add(want)
+        assert answers == {True, False}
+
+    def test_greedy_start_and_gadget_both_used(self, monkeypatch):
+        # the greedy choice alone settles some graphs; the others go
+        # through the gadget's matching, which both completes and refutes
+        outcomes = []
+        complete = factors._complete_r_factor
+
+        def recording(*args):
+            picked = complete(*args)
+            outcomes.append(picked is not None)
+            return picked
+
+        monkeypatch.setattr(factors, "_complete_r_factor", recording)
+        rng = random.Random(47)
+        found = 0
+        for _ in range(200):
+            found += find_r_factor(_random_graph(rng, rng.randint(6, 12), 0.45), 2) is not None
+        assert set(outcomes) == {True, False}
+        assert found > outcomes.count(True)
+
+    def test_degree_and_parity_tests_answer_without_gadget(self, monkeypatch):
+        def no_gadget(*args):
+            raise AssertionError("gadget built despite a degree or parity refusal")
+
+        monkeypatch.setattr(factors, "_tutte_gadget", no_gadget)
+        assert find_r_factor(path_graph(4), 2) is None  # degree 1 < 2
+        assert find_r_factor(complete_graph(5), 3) is None  # 3 * 5 odd
+        assert find_r_factor(cycle_graph(7), 1) is None  # 1 * 7 odd
+
+    def test_negative_r_rejected(self):
+        with pytest.raises(ValueError):
+            find_r_factor(cycle_graph(4), -1)
 
 
 class TestValidateWitness:

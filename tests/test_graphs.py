@@ -7,6 +7,7 @@ hand-encoded from the format definition (column-major upper triangle,
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 
@@ -330,3 +331,46 @@ def test_isomorphic_same_degree_sequence_nonisomorphic():
         6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
     )
     assert not isomorphic(prism, complete_bipartite(3, 3))
+
+
+def test_isomorphic_leaves_no_garbage():
+    # both searches reach backtracking (each side refines to one class);
+    # the search keeps an explicit stack, so it leaves no reference cycle
+    prism = Graph.from_edges(
+        6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+    )
+    relabeled = Graph.from_edges(6, [((u + 2) % 6, (v + 2) % 6) for u, v in prism.edges()])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert isomorphic(prism, relabeled)
+        assert not isomorphic(prism, complete_bipartite(3, 3))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_isomorphic_matches_networkx_on_random_pairs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(71)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        p = rng.choice([0.3, 0.5, 0.7])
+        g = Graph.from_edges(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p])
+        if rng.random() < 0.5:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+        else:
+            h = Graph.from_edges(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p])
+        want = nx.is_isomorphic(_nx(nx, g), _nx(nx, h))
+        assert isomorphic(g, h) == want
+
+
+def _nx(nx, g: Graph):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out

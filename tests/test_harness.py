@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from factor_spectra import harness
+from factor_spectra import criticality, factors, harness
 from factor_spectra.criticality import FactorParams, integral_deficiency, is_rk_critical
 from factor_spectra.families import ExtremalParams, extremal_graph
 from factor_spectra.graphs import (
@@ -424,6 +424,17 @@ def test_explorer_reuses_critical_verdicts(monkeypatch):
     assert len(swept) < m["qualifying"] - m["isomorphic_excluded"]
     # no two swept graphs are isomorphic
     assert not any(isomorphic(g, h) for i, g in enumerate(swept) for h in swept[:i])
+
+
+def test_explorer_decides_without_backtracking(monkeypatch):
+    # criteria 06-08 compare is_rk_critical with critical_by_definition,
+    # which finds its factors by backtracking, so the decider must not
+    def refuse(*args):
+        raise AssertionError("is_rk_critical reached the backtracking oracle")
+
+    monkeypatch.setattr(criticality, "find_ab_factor", refuse)
+    monkeypatch.setattr(factors, "find_ab_factor", refuse)
+    assert _digest(explore_conjecture(2, 0, 12, 1500, 0)) == EXPLORER_DIGESTS[0]
 
 
 def test_explorer_never_reuses_refutations(monkeypatch):
