@@ -17,7 +17,7 @@ import tracemalloc
 
 import pytest
 
-from factor_spectra import criticality, factors
+from factor_spectra import criticality, factors, harness
 from factor_spectra.criticality import (
     DeficiencyCertificate,
     FactorParams,
@@ -372,8 +372,6 @@ class TestParityDecider:
         # every certificate (or None) at n = 12, the explorer's order: the
         # graphs explore_conjecture(2, 0, 12, 1500, s) decides for s = 0-2,
         # then 40 seeded dense random graphs at (2, 0) and (2, 1)
-        from factor_spectra import harness
-
         sent = []
         decide = harness.is_rk_critical
 
