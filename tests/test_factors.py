@@ -5,8 +5,8 @@ K_4 and C_4, nonexistence of a 2-factor in a star, the half-integral
 weighting of an odd cycle for a = b = 1, and exhaustive agreement of the
 two oracles with each other (integral implies fractional) on the small
 corpus.  The fractional verdicts are also checked against scipy's LP
-solver on the defining polytope, and a sha256 digest pins every
-fractional witness byte for byte.
+solver on the defining polytope, and sha256 digests pin every fractional
+and every backtracked integral witness byte for byte.
 """
 
 from __future__ import annotations
@@ -369,6 +369,38 @@ def test_fractional_witnesses_pinned():
             digest.update(json.dumps(record, separators=(",", ":")).encode() + b"\n")
     assert found > 1000
     assert digest.hexdigest() == PINNED_DIGEST
+
+
+# Every find_ab_factor result, as witness JSON or None, over every labelled
+# graph with n <= 5 and seeded random graphs with n = 6-10 and at most
+# BACKTRACK_EDGE_CAP edges.  The `factor` verb prints these witnesses, so a
+# rewrite of the backtracking must keep its edge order and its first find.
+PINNED_AB_WINDOWS = ((1, 2), (2, 2), (2, 3))
+PINNED_AB_DIGEST = "8b7e73d7e3669ff4abed6afc5d9ac9bdc8d64f42995d4433f5995497c4ec1b9b"
+
+
+def _pinned_ab_graphs():
+    for n in range(6):
+        yield from enumerate_graphs(n)
+    rng = random.Random(2025)
+    for _ in range(200):
+        n = rng.randint(6, 10)
+        g = _random_graph(rng, n, rng.uniform(0.2, 0.7))
+        if g.edge_count <= factors.BACKTRACK_EDGE_CAP:
+            yield g
+
+
+def test_ab_witnesses_pinned():
+    digest = hashlib.sha256()
+    found = 0
+    for g in _pinned_ab_graphs():
+        for a, b in PINNED_AB_WINDOWS:
+            w = find_ab_factor(g, a, b)
+            found += w is not None
+            record = None if w is None else w.to_json()
+            digest.update(json.dumps(record, separators=(",", ":")).encode() + b"\n")
+    assert found > 500
+    assert digest.hexdigest() == PINNED_AB_DIGEST
 
 
 def _lp_feasible(g: Graph, a: int, b: int) -> bool:
