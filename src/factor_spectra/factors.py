@@ -118,8 +118,9 @@ def validate_witness(g: Graph, witness: FactorWitness, a: int, b: int) -> None:
 def find_ab_factor(g: Graph, a: int, b: int) -> FactorWitness | None:
     """Spanning subgraph with every degree in [a, b], or None.
 
-    Backtracking over edges in sorted order; at each decision the two
-    endpoint counts are pruned by: chosen > b, or chosen + undecided < a.
+    Backtracking over edges in sorted order, including each edge before
+    excluding it, on an explicit stack; at each decision the two endpoint
+    counts are pruned by: chosen > b, or chosen + undecided < a.
     Exhaustive, so None is a proof of nonexistence.  Edge count capped at
     BACKTRACK_EDGE_CAP to keep worst cases desk-scale.
     """
@@ -135,40 +136,44 @@ def find_ab_factor(g: Graph, a: int, b: int) -> FactorWitness | None:
         return None
     chosen = [0] * g.n
     picked: list[int] = []
-
-    def feasible(v: int) -> bool:
-        return chosen[v] <= b and chosen[v] + undecided[v] >= a
-
-    def rec(i: int) -> bool:
-        if i == m:
-            return all(a <= chosen[v] <= b for v in range(g.n))
+    # step[i] counts the branches of edge i tried so far: include, then
+    # exclude, then restore and back up.  Each branch is taken only if it
+    # keeps both endpoints feasible (chosen <= b, chosen + undecided >= a);
+    # the other bound cannot break on that branch.
+    step = [0] * (m + 1)
+    i = 0
+    while 0 <= i < m:
         u, v = edges[i]
-        undecided[u] -= 1
-        undecided[v] -= 1
-        # include edge i
-        chosen[u] += 1
-        chosen[v] += 1
-        if feasible(u) and feasible(v):
-            picked.append(i)
-            if rec(i + 1):
-                return True
-            picked.pop()
-        chosen[u] -= 1
-        chosen[v] -= 1
-        # exclude edge i
-        if feasible(u) and feasible(v) and rec(i + 1):
-            return True
-        undecided[u] += 1
-        undecided[v] += 1
-        return False
-
-    if not rec(0):
+        s = step[i]
+        step[i] = s + 1
+        if s == 0:
+            undecided[u] -= 1
+            undecided[v] -= 1
+            if chosen[u] < b and chosen[v] < b:
+                chosen[u] += 1
+                chosen[v] += 1
+                picked.append(i)
+                i += 1
+                step[i] = 0
+        elif s == 1:
+            if picked and picked[-1] == i:
+                picked.pop()
+                chosen[u] -= 1
+                chosen[v] -= 1
+            if chosen[u] + undecided[u] >= a and chosen[v] + undecided[v] >= a:
+                i += 1
+                step[i] = 0
+        else:
+            undecided[u] += 1
+            undecided[v] += 1
+            i -= 1
+    if i < 0:
         return None
-    # a successful search returns before undoing its counts, so `chosen`
-    # holds the witness degrees
+    # i == m: every vertex passed both bounds at its last edge (or, with no
+    # edges, at the degree test), so `chosen` holds the witness degrees
     witness = FactorWitness(
         kind="integral",
-        edges=tuple(edges[i] for i in picked),
+        edges=tuple(edges[e] for e in picked),
         weights=None,
         degrees=tuple(chosen),
     )

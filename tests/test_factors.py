@@ -12,6 +12,7 @@ and every backtracked integral witness byte for byte.
 from __future__ import annotations
 
 import ast
+import gc
 import hashlib
 import json
 import random
@@ -88,6 +89,21 @@ class TestIntegralOracle:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             find_ab_factor(complete_graph(3), 2, 1)
+
+    def test_backtracking_leaves_no_garbage(self):
+        # both searches undo choices (K4 refuses its first pick, 01 with 02;
+        # C5 has no perfect matching); the search keeps an explicit stack,
+        # so it leaves no reference cycle
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            assert find_ab_factor(complete_graph(4), 1, 1) is not None
+            assert find_ab_factor(cycle_graph(5), 1, 1) is None
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_witnesses_validate_on_random_graphs(self):
         rng = random.Random(23)
