@@ -36,15 +36,18 @@ Callers pass a route name ("integral",
 "fractional" or "parity") through and never branch on it: `route_params`,
 `certificate_at`, `decide` and `recheck_certificate` own each route's
 parameter shape, deficiency, T threshold and sweep.
-`critical_by_definition` is the independent brute-force route used to
-cross-validate the deciders; its parity mode backtracks with
-`find_ab_factor`, so it shares no factor oracle with `is_rk_critical`.
+`definition_oracle` is the independent brute-force route used to
+cross-validate the deciders, and `critical_by_definition` its use on one
+graph; its parity mode backtracks with `find_ab_factor`, so it shares no
+factor oracle with `is_rk_critical`.  For k >= 1 it asks each oracle
+about a labelled G - K once for as long as it lives.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from .factors import find_ab_factor, find_fractional_factor, find_r_factor
 from .graphs import Graph, bits, component
@@ -450,21 +453,52 @@ def decide(g: Graph, route: str, params: FactorParams) -> DeficiencyCertificate 
 # -- definitional route ---------------------------------------------------------
 
 
-def critical_by_definition(g: Graph, params: FactorParams, mode: str) -> bool:
-    """Brute force straight from the definition: try every deletion set K
-    of size exactly k and ask the witness oracle for an [a, b]-factor
-    (mode "integral"), an [r, r]-factor (mode "parity", with
-    params = FactorParams(r, r, k)) or a fractional [a, b]-factor (mode
-    "fractional") of G - K.  Independent of the deficiency machinery."""
+def definition_oracle(params: FactorParams, mode: str) -> Callable[[Graph], bool]:
+    """The brute-force route straight from the definition, as a function
+    of G: try every deletion set K of size exactly k and ask the witness
+    oracle for an [a, b]-factor (mode "integral"), an [r, r]-factor (mode
+    "parity", with params = FactorParams(r, r, k)) or a fractional
+    [a, b]-factor (mode "fractional") of G - K.  Independent of the
+    deficiency machinery.
+
+    For k >= 1 the function keeps each oracle answer, a bool keyed by
+    the adjacency rows of G - K, for as long as it lives, so a labelled
+    G - K met again (from another K, or another G) costs no second
+    search.  Over graphs with n <= n_max the memo is bounded by the
+    labelled graphs on at most n_max - k vertices: 1,100 at n_max = 6 and
+    k = 1 (a grid item with a + k + 1 = 4 reaches 1,096), and about 33k
+    at n_max = 7.  At k = 0, G - K is G, each graph of a corpus is met
+    once, and nothing is kept.
+    """
     if mode == "parity":
         _parity_r(params)
     elif mode not in ("integral", "fractional"):
         raise ValueError(f"mode must be integral, fractional or parity, got {mode!r}")
     oracle = find_fractional_factor if mode == "fractional" else find_ab_factor
-    for kill in itertools.combinations(range(g.n), params.k):
-        if oracle(g.delete_vertices(kill) if kill else g, params.a, params.b) is None:
-            return False
-    return True
+    a, b, k = params.a, params.b, params.k
+    if k == 0:
+        return lambda g: oracle(g, a, b) is not None
+    found: dict[tuple[int, ...], bool] = {}
+
+    def critical(g: Graph) -> bool:
+        for kill in itertools.combinations(range(g.n), k):
+            rest = g.delete_vertices(kill)
+            has = found.get(rest.adj)
+            if has is None:
+                has = found[rest.adj] = oracle(rest, a, b) is not None
+            if not has:
+                return False
+        return True
+
+    return critical
+
+
+def critical_by_definition(g: Graph, params: FactorParams, mode: str) -> bool:
+    """True iff G - K has the mode's factor for every k-set K:
+    `definition_oracle(params, mode)` on the one graph G.  Its memo (k >= 1
+    only) lasts this call and holds at most C(n, k) answers; it still
+    spares a second search when two K leave the same labelled G - K."""
+    return definition_oracle(params, mode)(g)
 
 
 def recheck_certificate(g: Graph, cert: DeficiencyCertificate, params: FactorParams) -> bool:

@@ -269,6 +269,47 @@ def test_cross_validation_guards():
         cross_validate_deciders(4, [("oracle", 1, 2, 0)])
 
 
+# one k >= 1 grid item per factor oracle, so each oracle serves one item
+MEMO_GRID = [("fractional", 2, 2, 1), ("parity", 2, 1)]
+
+
+def _oracle_inputs(monkeypatch) -> dict[str, list]:
+    inputs: dict[str, list] = {}
+    for name in ("find_fractional_factor", "find_ab_factor"):
+        _count_calls(monkeypatch, criticality, name, inputs.setdefault(name, []))
+    return inputs
+
+
+def test_cross_validation_asks_each_deleted_subgraph_once(monkeypatch):
+    # at k >= 1 many (G, K) leave the same labelled G - K; within one pass
+    # an oracle sees each of them once
+    inputs = _oracle_inputs(monkeypatch)
+    assert cross_validate_deciders(5, MEMO_GRID).status == "pass"
+    for name, seen in inputs.items():
+        rows = [g.adj for g in seen]
+        assert len(rows) > 50, name
+        assert len(set(rows)) == len(rows), name
+
+
+def test_cross_validation_memo_lasts_one_pass(monkeypatch):
+    # the memo is dropped when a pass returns, so a second pass asks again
+    inputs = _oracle_inputs(monkeypatch)
+    first = cross_validate_deciders(5, MEMO_GRID)
+    counts = {name: len(seen) for name, seen in inputs.items()}
+    second = cross_validate_deciders(5, MEMO_GRID)
+    assert first.to_json() == second.to_json()
+    assert {name: len(seen) - counts[name] for name, seen in inputs.items()} == counts
+
+
+def test_cross_validation_at_k0_asks_once_per_graph(monkeypatch):
+    # at k = 0, G - K is G: one oracle call per compared graph, none kept
+    inputs = _oracle_inputs(monkeypatch)
+    r = cross_validate_deciders(5, [("integral", 1, 2, 0)])
+    assert r.status == "pass"
+    assert len(inputs["find_ab_factor"]) == r.metrics["compared_integral"] == 771
+    assert not inputs["find_fractional_factor"]
+
+
 # -- degree-based bound -----------------------------------------------------------
 
 
