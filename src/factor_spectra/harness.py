@@ -508,9 +508,9 @@ def cross_validate_deciders(n_max: int, param_grid: Iterable) -> CheckResult:
     """Deficiency-sweep deciders versus brute-force factor search after
     every k-deletion, exhaustively over connected graphs with n <= n_max
     (n_max <= 7).  Each grid item gets its own `definition_oracle` for the
-    call, so at k >= 1 each factor oracle is asked about a labelled G - K
-    once per item: 1,096 searches instead of 43,149 for (2, 2, 1) at
-    n_max = 6.  That memo holds one bool per labelled graph on at most
+    call, so at k >= 1 its factor oracle is asked about each labelled
+    G - K once (1,096 searches for (2, 2, 1) at n_max = 6, over 27,470
+    graphs).  That memo holds one bool per labelled graph on at most
     n_max - k vertices (about 33k at n_max = 7) and is dropped when the
     call returns; at k = 0 every graph is searched once and nothing is
     kept.  Also checks the histogram form of the integral
