@@ -36,11 +36,11 @@ Callers pass a route name ("integral",
 "fractional" or "parity") through and never branch on it: `route_params`,
 `certificate_at`, `decide` and `recheck_certificate` own each route's
 parameter shape, deficiency, T threshold and sweep.
-`definition_oracle` is the independent brute-force route used to
-cross-validate the deciders, and `critical_by_definition` its use on one
-graph; its parity mode backtracks with `find_ab_factor`, so it shares no
-factor oracle with `is_rk_critical`.  For k >= 1 it asks each oracle
-about a labelled G - K once for as long as it lives.
+`critical_by_definition` is the independent brute-force route used to
+cross-validate the deciders; its parity mode backtracks with
+`find_ab_factor`, so it shares no factor oracle with `is_rk_critical`.
+`definition_oracle` is the same route for a whole corpus: for k >= 1 it
+asks an oracle about each labelled G - K once for as long as it lives.
 """
 
 from __future__ import annotations
@@ -453,52 +453,61 @@ def decide(g: Graph, route: str, params: FactorParams) -> DeficiencyCertificate 
 # -- definitional route ---------------------------------------------------------
 
 
-def definition_oracle(params: FactorParams, mode: str) -> Callable[[Graph], bool]:
-    """The brute-force route straight from the definition, as a function
-    of G: try every deletion set K of size exactly k and ask the witness
-    oracle for an [a, b]-factor (mode "integral"), an [r, r]-factor (mode
-    "parity", with params = FactorParams(r, r, k)) or a fractional
-    [a, b]-factor (mode "fractional") of G - K.  Independent of the
-    deficiency machinery.
-
-    For k >= 1 the function keeps each oracle answer, a bool keyed by
-    the adjacency rows of G - K, for as long as it lives, so a labelled
-    G - K met again (from another K, or another G) costs no second
-    search.  Over graphs with n <= n_max the memo is bounded by the
-    labelled graphs on at most n_max - k vertices: 1,100 at n_max = 6 and
-    k = 1 (a grid item with a + k + 1 = 4 reaches 1,096), and about 33k
-    at n_max = 7.  At k = 0, G - K is G, each graph of a corpus is met
-    once, and nothing is kept.
-    """
+def _factor_test(params: FactorParams, mode: str) -> Callable[[Graph], bool]:
+    """Whether a graph has the mode's factor, by its witness oracle."""
     if mode == "parity":
         _parity_r(params)
     elif mode not in ("integral", "fractional"):
         raise ValueError(f"mode must be integral, fractional or parity, got {mode!r}")
     oracle = find_fractional_factor if mode == "fractional" else find_ab_factor
-    a, b, k = params.a, params.b, params.k
+    a, b = params.a, params.b
+    return lambda h: oracle(h, a, b) is not None
+
+
+def _holds_after_deletions(g: Graph, k: int, has_factor: Callable[[Graph], bool]) -> bool:
+    """The definition's one loop: has_factor(G - K) for every k-set K."""
+    return all(
+        has_factor(g.delete_vertices(kill) if kill else g)
+        for kill in itertools.combinations(range(g.n), k)
+    )
+
+
+def definition_oracle(params: FactorParams, mode: str) -> Callable[[Graph], bool]:
+    """`critical_by_definition` as a function of G, for one corpus.
+
+    For k >= 1 the function keeps each oracle answer, a bool keyed by the
+    adjacency rows of G - K, for as long as it lives, so a labelled G - K
+    met again (from another K, or another G) costs no second search.
+    Over graphs with n <= n_max the memo is bounded by the labelled
+    graphs on at most n_max - k vertices: 1,100 at n_max = 6 and k = 1 (a
+    grid item with a + k + 1 = 4 reaches 1,096), and about 33k at
+    n_max = 7.  At k = 0, G - K is G, each graph of a corpus is met once,
+    and nothing is kept.
+    """
+    has_factor = _factor_test(params, mode)
+    k = params.k
     if k == 0:
-        return lambda g: oracle(g, a, b) is not None
+        return has_factor
     found: dict[tuple[int, ...], bool] = {}
 
-    def critical(g: Graph) -> bool:
-        for kill in itertools.combinations(range(g.n), k):
-            rest = g.delete_vertices(kill)
-            has = found.get(rest.adj)
-            if has is None:
-                has = found[rest.adj] = oracle(rest, a, b) is not None
-            if not has:
-                return False
-        return True
+    def remembered(h: Graph) -> bool:
+        has = found.get(h.adj)
+        if has is None:
+            has = found[h.adj] = has_factor(h)
+        return has
 
-    return critical
+    return lambda g: _holds_after_deletions(g, k, remembered)
 
 
 def critical_by_definition(g: Graph, params: FactorParams, mode: str) -> bool:
-    """True iff G - K has the mode's factor for every k-set K:
-    `definition_oracle(params, mode)` on the one graph G.  Its memo (k >= 1
-    only) lasts this call and holds at most C(n, k) answers; it still
-    spares a second search when two K leave the same labelled G - K."""
-    return definition_oracle(params, mode)(g)
+    """Brute force straight from the definition: try every deletion set K
+    of size exactly k and ask the witness oracle for an [a, b]-factor
+    (mode "integral"), an [r, r]-factor (mode "parity", with
+    params = FactorParams(r, r, k)) or a fractional [a, b]-factor (mode
+    "fractional") of G - K.  Independent of the deficiency machinery.
+    No memo: one oracle call per K until the first refusal.  To decide a
+    corpus, `definition_oracle` asks about each labelled G - K once."""
+    return _holds_after_deletions(g, params.k, _factor_test(params, mode))
 
 
 def recheck_certificate(g: Graph, cert: DeficiencyCertificate, params: FactorParams) -> bool:

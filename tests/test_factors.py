@@ -374,17 +374,24 @@ def _pinned_graphs():
         )
 
 
-def test_fractional_witnesses_pinned():
+def _witness_digest(finder, graphs, windows) -> tuple[str, int]:
+    """sha256 over finder's witness JSON (or None) for every graph and
+    window, one line each, and the number of witnesses found."""
     digest = hashlib.sha256()
     found = 0
-    for g in _pinned_graphs():
-        for a, b in PINNED_WINDOWS:
-            w = find_fractional_factor(g, a, b)
+    for g in graphs:
+        for a, b in windows:
+            w = finder(g, a, b)
             found += w is not None
             record = None if w is None else w.to_json()
             digest.update(json.dumps(record, separators=(",", ":")).encode() + b"\n")
+    return digest.hexdigest(), found
+
+
+def test_fractional_witnesses_pinned():
+    digest, found = _witness_digest(find_fractional_factor, _pinned_graphs(), PINNED_WINDOWS)
     assert found > 1000
-    assert digest.hexdigest() == PINNED_DIGEST
+    assert digest == PINNED_DIGEST
 
 
 # Every find_ab_factor result, as witness JSON or None, over every labelled
@@ -407,16 +414,9 @@ def _pinned_ab_graphs():
 
 
 def test_ab_witnesses_pinned():
-    digest = hashlib.sha256()
-    found = 0
-    for g in _pinned_ab_graphs():
-        for a, b in PINNED_AB_WINDOWS:
-            w = find_ab_factor(g, a, b)
-            found += w is not None
-            record = None if w is None else w.to_json()
-            digest.update(json.dumps(record, separators=(",", ":")).encode() + b"\n")
+    digest, found = _witness_digest(find_ab_factor, _pinned_ab_graphs(), PINNED_AB_WINDOWS)
     assert found > 500
-    assert digest.hexdigest() == PINNED_AB_DIGEST
+    assert digest == PINNED_AB_DIGEST
 
 
 def _lp_feasible(g: Graph, a: int, b: int) -> bool:
