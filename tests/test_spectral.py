@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from operator import truediv
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from factor_spectra.graphs import (
     path_graph,
     random_connected_graph,
 )
+from factor_spectra import spectral
 from factor_spectra.spectral import (
     ConvergenceError,
     SpectralReport,
@@ -235,6 +237,150 @@ class TestScreen:
     def test_same_errors(self):
         with pytest.raises(ValueError):
             radius_unless_below(empty_graph(0), 1.0)
+
+
+def reference_power_iteration(
+    g: Graph, tol: float, max_iter: int, below: float | None
+) -> SpectralReport | None:
+    """The power iteration with an eager stopping rule, kept as the oracle
+    for `spectral._power_iteration`: it forms the Rayleigh quotient at
+    every step and the full residual whenever the quotient is stable.  The
+    solver must return the same report or None, or raise the same
+    ConvergenceError, on every valid (tol, max_iter, below)."""
+    n = g.n
+    epairs = g.edges()
+    connected = g.is_connected()
+    x = [1.0] * n
+    rho_prev = float("inf")
+    for it in range(1, max_iter + 1):
+        y = list(x)  # the +I part
+        for u, v in epairs:
+            y[u] += x[v]
+            y[v] += x[u]
+        if below is not None and min(x) > 0.0 and max(map(truediv, y, x)) - 1.0 < below:
+            return None
+        dot_xy = 0.0
+        dot_xx = 0.0
+        for u in range(n):
+            dot_xy += x[u] * y[u]
+            dot_xx += x[u] * x[u]
+        rho = dot_xy / dot_xx
+        if abs(rho - rho_prev) < tol:
+            residual = max(abs(y[u] - rho * x[u]) for u in range(n))
+            if residual < tol:
+                return SpectralReport(
+                    lam=rho - 1.0,
+                    perron=tuple(x),
+                    iterations=it,
+                    residual=residual,
+                    connected=connected,
+                )
+        scale = max(y)  # >= 1 since y >= x elementwise and max(x) = 1
+        x = [v / scale for v in y]
+        rho_prev = rho
+    raise ConvergenceError(
+        f"power iteration did not reach tol={tol} within {max_iter} iterations"
+    )
+
+
+def relabelled(rng: random.Random, n: int, edges: list[tuple[int, int]]) -> Graph:
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def prufer_tree(rng: random.Random, n: int) -> Graph:
+    """A uniform random labelled tree on n >= 2 vertices."""
+    code = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for v in code:
+        degree[v] += 1
+    edges = []
+    for v in code:
+        leaf = degree.index(1)
+        edges.append((leaf, v))
+        degree[leaf] = 0
+        degree[v] -= 1
+    edges.append(tuple(u for u in range(n) if degree[u] == 1))
+    return Graph.from_edges(n, edges)
+
+
+def caterpillar(rng: random.Random, spine: int, max_legs: int) -> Graph:
+    """A spine path with up to max_legs pendant vertices per spine vertex."""
+    n = spine
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    for i in range(spine):
+        for _ in range(rng.randint(0, max_legs)):
+            edges.append((i, n))
+            n += 1
+    return relabelled(rng, n, edges)
+
+
+def sparse_graphs(seed: int) -> list[Graph]:
+    """Relabelled paths, Pruefer trees and caterpillars of the sizes the
+    sparse spectral benchmark sends; the slowest need about 3000 steps."""
+    rng = random.Random(seed)
+    out = [relabelled(rng, n, [(i, i + 1) for i in range(n - 1)]) for n in (24, 36, 48, 62)]
+    out += [prufer_tree(rng, n) for n in (30, 45, 62)]
+    out += [caterpillar(rng, spine, 2) for spine in (10, 20)]
+    return out
+
+
+class TestAgainstReferenceLoop:
+    """The solver against `reference_power_iteration`, bit for bit: every
+    report field, every None from the screen, every ConvergenceError."""
+
+    TOLS = (1e-4, 1e-8, 1e-10, 1e-12, 1e-14, 1e-15, 1e-16, 5e-324)
+    MAX_ITER = 3000
+
+    @staticmethod
+    def outcome(fn, g: Graph, tol: float, max_iter: int, below: float | None) -> str:
+        try:
+            return repr(fn(g, tol, max_iter, below))
+        except ConvergenceError as exc:
+            return f"ConvergenceError: {exc}"
+
+    def same(self, g: Graph, tol: float, max_iter: int, below: float | None = None) -> str:
+        got = self.outcome(spectral._power_iteration, g, tol, max_iter, below)
+        assert got == self.outcome(reference_power_iteration, g, tol, max_iter, below), (
+            g, tol, max_iter, below
+        )
+        return got
+
+    def test_sparse_graphs(self):
+        outcomes = [
+            self.same(g, tol, self.MAX_ITER) for g in sparse_graphs(11) for tol in self.TOLS
+        ]
+        # both exits are exercised: converged reports and exhausted budgets
+        assert any(o.startswith("SpectralReport") for o in outcomes)
+        assert any(o.startswith("ConvergenceError") for o in outcomes)
+
+    def test_random_connected_graphs(self):
+        rng = random.Random(12)
+        for _ in range(30):
+            g = random_connected_graph(rng, rng.randint(1, 24), rng.uniform(0.1, 0.9))
+            for tol in self.TOLS:
+                self.same(g, tol, rng.choice((1, 2, 5, 40, self.MAX_ITER)))
+
+    def test_screen_thresholds(self):
+        rng = random.Random(13)
+        graphs = sparse_graphs(14)[::2] + [
+            random_connected_graph(rng, rng.randint(2, 16), rng.uniform(0.1, 0.9))
+            for _ in range(10)
+        ]
+        for g in graphs:
+            lam = numpy_radius(g)
+            for tol in (1e-4, 1e-10, 1e-15):
+                for offset in (-0.5, -1e-3, -1e-8, 1e-8, 1e-3, 0.5):
+                    self.same(g, tol, self.MAX_ITER, lam + offset)
+
+    def test_underflow_graph(self):
+        # the isolated vertex's entry underflows to 0.0 before the path
+        # converges, so the screen turns off and a Perron entry is 0.0
+        g = disjoint_union(path_graph(40), empty_graph(1))
+        for tol in self.TOLS:
+            for below in (None, 1.0, 2.5):
+                self.same(g, tol, self.MAX_ITER, below)
 
 
 class TestHongBound:
