@@ -393,10 +393,13 @@ def _pair_sweep(g: Graph, r: int, k: int) -> DeficiencyCertificate | None:
     # a violating surplus is negative and congruent to r(n - k) (mod 2)
     slack = 2 if r * (n - k) % 2 == 0 else 1
     # risky[s]: the vertices that can be short (d_{G-X}(v) < r - 1) once
-    # s vertices are deleted, since d_{G-X}(v) >= d_G(v) - |X|
-    risky = [
-        sum(1 << v for v in range(n) if adj[v].bit_count() < r - 1 + s) for s in range(n + 1)
-    ]
+    # s vertices are deleted, since d_{G-X}(v) >= d_G(v) - |X|; v joins at
+    # s = d_G(v) - r + 2 <= n - 1 and stays, so one pass fills it
+    risky = [0] * (n + 1)
+    for v, d in enumerate(g.degrees()):
+        risky[max(d - r + 2, 0)] |= 1 << v
+    for s in range(n):
+        risky[s + 1] |= risky[s]
     for x_mask, x_size in _subsets_by_size(n, k):
         base = r * (x_size - k)
         # `low` is the slice bound with h <= |R|, R = rest minus Y.  Over l

@@ -6,9 +6,24 @@ largest in absolute value (defeating the +/-lambda oscillation of
 bipartite graphs), so the iteration always converges; the radius of A is
 recovered by subtracting 1.  Convergence requires both a stable Rayleigh
 quotient and a small true residual, and every successful report carries
-the residual so callers can recheck the guarantee.  The residual costs a
-pass over the vertices, so it is computed only once the quotient is
-stable; the stopping rule is a conjunction, so this changes no report.
+the residual so callers can recheck the guarantee.
+
+The stopping rule is evaluated lazily: each step makes the decision that
+forming the quotient rho and the residual max_u |y_u - rho x_u| in full
+would make, but skips the passes that cannot change it.  The entry `top`
+where the previous y peaked has x_top = 1 exactly, so if every entry
+passed, a probe entry p would have |y_p - y_top x_p| <= |y_p - rho x_p| +
+|rho - y_top| x_p < 2 tol in exact arithmetic.  Rounding adds at most
+tol / 2 per product that underflows (tol is at least the least
+subnormal) and a few units in the last place of y_top, so a passing step
+has a computed gap below (1 + 2^-53)(3.5 tol + 2^-52 y_top) for every
+tol > 0, and the margin 4 tol + 2^-50 y_top exceeds that even after its
+own rounding.  While the
+gap is above the margin the step skips rho; a later step that needs it
+recomputes it from that step's kept (x, y), to the same bits.  Otherwise
+the probe's own residual is tested before the full pass.  The probe
+starts at a vertex of least degree (the least entry of the first y) and
+moves to the worst entry of every full residual that fails.
 
 One loop serves two entry points.  `spectral_radius` always returns a
 report.  `radius_unless_below` screens against a threshold: for a
@@ -90,16 +105,22 @@ def _power_iteration(
     n = g.n
     if n < 1:
         raise ValueError("spectral radius needs at least one vertex")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     epairs = g.edges()
     connected = g.is_connected()
+    probe = min(range(n), key=g.degree)
 
-    # x always has max entry exactly 1; on success the report carries the
-    # very (rho, x) pair whose residual was measured, so the residual
-    # contract holds for the returned vector, not a later iterate.
+    # x always has max entry exactly 1, at x[top]; on success the report
+    # carries the very (rho, x) pair whose residual was measured, so the
+    # residual contract holds for the returned vector, not a later iterate.
+    # rho_prev is None when the last step skipped rho; kept is its (x, y).
     x = [1.0] * n
-    rho_prev = float("inf")
+    top = 0
+    rho_prev: float | None = float("inf")
+    kept = None
     for it in range(1, max_iter + 1):
         y = list(x)  # the +I part
         for u, v in epairs:
@@ -107,28 +128,42 @@ def _power_iteration(
             y[v] += x[u]
         if below is not None and min(x) > 0.0 and max(map(truediv, y, x)) - 1.0 < below:
             return None
-        dot_xy = 0.0
-        dot_xx = 0.0
-        for u in range(n):
-            dot_xy += x[u] * y[u]
-            dot_xx += x[u] * x[u]
-        rho = dot_xy / dot_xx
-        if abs(rho - rho_prev) < tol:
-            residual = max(abs(y[u] - rho * x[u]) for u in range(n))
-            if residual < tol:
-                return SpectralReport(
-                    lam=rho - 1.0,
-                    perron=tuple(x),
-                    iterations=it,
-                    residual=residual,
-                    connected=connected,
-                )
+        rho = None
+        if abs(y[probe] - y[top] * x[probe]) <= 4.0 * tol + y[top] * 2.0**-50:
+            rho = _rayleigh(x, y)
+            if abs(y[probe] - rho * x[probe]) < tol:
+                if rho_prev is None:
+                    rho_prev = _rayleigh(*kept)
+                if abs(rho - rho_prev) < tol:
+                    residuals = [abs(y[u] - rho * x[u]) for u in range(n)]
+                    residual = max(residuals)
+                    if residual < tol:
+                        return SpectralReport(
+                            lam=rho - 1.0,
+                            perron=tuple(x),
+                            iterations=it,
+                            residual=residual,
+                            connected=connected,
+                        )
+                    probe = residuals.index(residual)
         scale = max(y)  # >= 1 since y >= x elementwise and max(x) = 1
+        top = y.index(scale)
+        kept = (x, y)
         x = [v / scale for v in y]
         rho_prev = rho
     raise ConvergenceError(
         f"power iteration did not reach tol={tol} within {max_iter} iterations"
     )
+
+
+def _rayleigh(x: list[float], y: list[float]) -> float:
+    """The Rayleigh quotient x.y / x.x, summed left to right."""
+    dot_xy = 0.0
+    dot_xx = 0.0
+    for xu, yu in zip(x, y):
+        dot_xy += xu * yu
+        dot_xx += xu * xu
+    return dot_xy / dot_xx
 
 
 # -- degree-edge upper bound --------------------------------------------------

@@ -150,6 +150,14 @@ def test_bad_graph6_is_usage_error(capsys, monkeypatch):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flags", [["--tol", "inf"], ["--tol", "nan"], ["--max-iter", "0"]])
+def test_lambda_bad_solver_arguments_are_usage_errors(capsys, monkeypatch, flags):
+    code, out, err = run_cli(["lambda", *flags], capsys, stdin=C4 + "\n", monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 # -- deciders ----------------------------------------------------------------------
 
 

@@ -175,6 +175,18 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             spectral_radius(complete_graph(3), tol=0)
 
+    @pytest.mark.parametrize("tol", [-1e-10, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # nan failed every comparison and ran out the budget; inf stopped
+        # P_5 after 2 steps at 1.714 against 2 cos(pi/6) = 1.732
+        with pytest.raises(ValueError, match="positive and finite"):
+            spectral_radius(path_graph(5), tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_budget_must_be_positive(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            spectral_radius(path_graph(5), max_iter=max_iter)
+
     def test_report_json_keys(self):
         rep = spectral_radius(complete_graph(3))
         d = rep.to_json()
