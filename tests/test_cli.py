@@ -26,6 +26,8 @@ from factor_spectra.graphs import (
 
 K13 = "Cs"  # star on 4 vertices, center first
 C4 = "Cl"
+P4 = "Ch"
+K4 = "C~"
 K5 = "D~{"
 
 
@@ -142,6 +144,23 @@ def test_hong_record(capsys, monkeypatch):
     # K_5 attains the bound exactly
     assert rec["slack"] == pytest.approx(0.0, abs=1e-9)
     assert rec["bound"] == pytest.approx(4.0, abs=1e-9)
+
+
+def test_hong_csv_and_text(capsys, monkeypatch):
+    stdin = C4 + "\n" + K5 + "\n"
+    code, out, _ = run_cli(["hong", "--out", "csv"], capsys, stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 0
+    assert out.splitlines() == [
+        "n,edge_count,min_degree,bound,lambda,slack",
+        "4,4,2,2.0,2.0,0.0",
+        "5,10,4,4.0,4.0,0.0",
+    ]
+    code, out, _ = run_cli(["hong", "--out", "text"], capsys, stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 0
+    assert out.splitlines() == [
+        "n=4 m=4 bound=2.000000000000 lambda=2.000000000000 slack=0.000e+00",
+        "n=5 m=10 bound=4.000000000000 lambda=4.000000000000 slack=0.000e+00",
+    ]
 
 
 def test_bad_graph6_is_usage_error(capsys, monkeypatch):
@@ -270,6 +289,55 @@ def test_rk_verb_agrees_with_fractional(capsys, monkeypatch):
     assert recs[1]["certificate"]["kind"] == "parity"
 
 
+@pytest.mark.parametrize(
+    "argv, csv_row, text_line",
+    [
+        (["fractional", "--a", "2", "--b", "2", "--k", "0"],
+         "false,fractional,,1 2 3,3", "not critical: S=[] T=[1, 2, 3] deficiency=3"),
+        (["rk", "--r", "2", "--k", "0"],
+         "false,parity,,0,2", "not critical: S=[] T=[0] deficiency=2"),
+    ],
+)
+def test_fractional_and_rk_csv_and_text(capsys, monkeypatch, argv, csv_row, text_line):
+    stdin = C4 + "\n" + K13 + "\n"
+    code, out, _ = run_cli([*argv, "--out", "csv"], capsys, stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 0
+    assert out.splitlines() == ["critical,kind,s_set,t_set,deficiency", "true,,,,", csv_row]
+    code, out, _ = run_cli([*argv, "--out", "text"], capsys, stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 0
+    assert out.splitlines() == ["critical", text_line]
+
+
+@pytest.mark.parametrize(
+    "argv", [["fractional", "--a", "2", "--b", "2", "--k", "0"], ["rk", "--r", "2", "--k", "0"]]
+)
+def test_fractional_and_rk_expect_critical(capsys, monkeypatch, argv):
+    argv = [*argv, "--expect-critical"]
+    code, out, err = run_cli(argv, capsys, stdin=C4 + "\n" + K13 + "\n", monkeypatch=monkeypatch)
+    assert code == 1
+    assert len(out.splitlines()) == 2
+    assert err == "1 of 2 graphs are not critical\n"
+    code, out, err = run_cli(argv, capsys, stdin=C4 + "\n", monkeypatch=monkeypatch)
+    assert code == 0
+    assert json.loads(out) == {"critical": True, "certificate": None}
+    assert err == ""
+
+
+def test_decide_parallel_order_and_count(capsys, monkeypatch):
+    # K_{1,3} is the only graph here without a [1, 2]-factor
+    stdin = "\n".join([K13, K5, C4, K13, P4, K5, K4, K13]) + "\n"
+    argv = ["decide", "--a", "1", "--b", "2", "--k", "0", "--expect-critical"]
+    code, out, err = run_cli([*argv, "--parallel", "2"], capsys, stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 1
+    assert err == "3 of 8 graphs are not critical\n"
+    star = {"kind": "integral", "s_set": [0], "t_set": [1, 2, 3], "deficiency": 1}
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"critical": not failing, "certificate": star if failing else None}
+        for failing in (True, False, False, True, False, False, False, True)
+    ]
+    assert run_cli(argv, capsys, stdin=stdin, monkeypatch=monkeypatch) == (code, out, err)
+
+
 def test_decide_b_equal_a_is_usage_error(capsys, monkeypatch):
     for stdin in (C4 + "\n", ""):
         code, _, err = run_cli(
@@ -319,6 +387,22 @@ def test_factor_fractional_and_missing(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out) == {"exists": False, "witness": None}
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["factor", "--a", "1", "--b", "2"], K5 + "\n" + K13 + "\n"),
+        (["factor", "--a", "2", "--b", "2", "--fractional"], C4 + "\n" + K13 + "\n"),
+    ],
+)
+def test_factor_csv_and_text(capsys, monkeypatch, argv, stdin):
+    code, out, _ = run_cli([*argv, "--out", "csv"], capsys, stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 0
+    assert out.splitlines() == ["exists", "true", "false"]
+    code, out, _ = run_cli([*argv, "--out", "text"], capsys, stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 0
+    assert out.splitlines() == ["factor exists", "no factor"]
 
 
 # -- convert -----------------------------------------------------------------------
