@@ -1,20 +1,17 @@
 """Command-line front end for the toolkit.
 
-Everything the library computes is reachable as a batch command with
-machine-readable output: constructing the extremal graph K_{a+k} v
-(K_{n-a-b-k-1} u (b+1)K_1) plus its a-1 attachment edges (and the wider
-family it distinguishes), computing adjacency spectral radii by power
-iteration, evaluating the degree-based radius bound, deciding integral
-and fractional (a, b, k)-criticality and parity-route (r, k)-criticality
-with deficiency certificates, finding explicit [a, b]-factors, running
-the verification battery, and searching for conjecture counterexamples.
-
-Graph input is graph6, one graph per line, so exhaustive corpora pipe
-through standard tools; an edge-list file holds a single graph instead
-(use --format edge-list).  Analysis verbs emit one JSON object per input
-graph by default, with csv and text as alternatives.  Corpus processing
-may be parallelized with --parallel N (env FACTOR_SPECTRA_THREADS is the
-fallback), and output order always matches input order.
+Six per-graph verbs share one pipeline: lambda (spectral radius by power
+iteration), hong (the degree-based radius bound), decide, fractional and
+rk (integral, fractional and parity-route criticality with deficiency
+certificates) and factor (explicit [a, b]-factors).  Each reads a corpus,
+graph6 with one graph per line or a single edge-list graph (--format
+edge-list), maps the verb's module-level worker over it, in worker
+processes with --parallel N (env FACTOR_SPECTRA_THREADS is the
+fallback), and prints one record per graph in input order as json
+(default), csv or text.  The other verbs build the extremal graphs
+(construct), run the verification battery (verify), search for
+conjecture counterexamples (explore) and translate graph6 and edge lists
+(convert).
 
 Exit codes: 0 success (all checks passed, all graphs critical when
 --expect-critical is set), 1 a check or expectation failed, 2 usage
@@ -30,16 +27,10 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from typing import Iterable
 
 from .criticality import decide, route_params
 from .factors import find_ab_factor, find_fractional_factor
-from .families import (
-    ExtremalParams,
-    base_join_graph,
-    enumerate_family,
-    extremal_graph,
-)
+from .families import ExtremalParams, base_join_graph, enumerate_family, extremal_graph
 from .graphs import Graph, parse_edge_list, parse_graph6, to_edge_list, to_graph6
 from .harness import battery_plan, explore_conjecture, run_check
 from .spectral import MAX_ITER, TOL, ConvergenceError, hong_bound, spectral_radius
@@ -119,6 +110,11 @@ def _record_factor(g: Graph, a: int, b: int, fractional: bool) -> dict:
     }
 
 
+def _record_decide(g: Graph, route: str, params) -> dict:
+    cert = decide(g, route, params)
+    return {"critical": cert is None, "certificate": None if cert is None else cert.to_json()}
+
+
 def _run_planned(item: tuple[str, dict]) -> dict:
     name, kwargs = item
     return run_check(name, kwargs).to_json()
@@ -135,30 +131,6 @@ def _cell(value) -> str:
     if isinstance(value, (list, tuple)):
         return " ".join(str(v) for v in value)
     return str(value)
-
-
-def _emit_records(records: Iterable[dict], out: str, columns: list[str], texter) -> None:
-    if out == "json":
-        for rec in records:
-            print(json.dumps(rec))
-    elif out == "csv":
-        print(",".join(columns))
-        for rec in records:
-            print(",".join(_cell(rec.get(c)) for c in columns))
-    else:
-        for rec in records:
-            print(texter(rec))
-
-
-def _decide_columns_flatten(rec: dict) -> dict:
-    cert = rec["certificate"] or {}
-    return {
-        "critical": rec["critical"],
-        "kind": cert.get("kind"),
-        "s_set": cert.get("s_set"),
-        "t_set": cert.get("t_set"),
-        "deficiency": cert.get("deficiency"),
-    }
 
 
 def _decide_text(rec: dict) -> str:
@@ -199,66 +171,37 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _cmd_lambda(args) -> int:
+def _cmd_records(args, record, columns: list[str], text) -> int:
+    """The per-graph verbs: read the corpus, then build the worker with
+    record(args), which checks the verb's parameters, and print each
+    record in input order as json, csv (certificate fields one level
+    down) or text(record)."""
     graphs = _load_corpus(args)
-    fn = partial(_record_lambda, tol=args.tol, max_iter=args.max_iter)
-    records = _map_records(fn, graphs, _resolve_parallel(args))
-    _emit_records(
-        records,
-        args.out,
-        ["n", "lambda", "residual", "iterations", "connected"],
-        lambda r: f"n={r['n']} lambda={r['lambda']:.12f} residual={r['residual']:.3e}",
-    )
-    return 0
-
-
-def _cmd_hong(args) -> int:
-    graphs = _load_corpus(args)
-    records = _map_records(_record_hong, graphs, _resolve_parallel(args))
-    _emit_records(
-        records,
-        args.out,
-        ["n", "edge_count", "min_degree", "bound", "lambda", "slack"],
-        lambda r: (
-            f"n={r['n']} m={r['edge_count']} bound={r['bound']:.12f} "
-            f"lambda={r['lambda']:.12f} slack={r['slack']:.3e}"
-        ),
-    )
-    return 0
-
-
-def _cmd_decide(args, route: str, flags: tuple[str, ...] = ("a", "b", "k")) -> int:
-    graphs = _load_corpus(args)
-    params = route_params(route, *(getattr(args, f) for f in flags))
-    fn = partial(decide, route=route, params=params)
+    records = _map_records(record(args), graphs, _resolve_parallel(args))
+    if args.out == "csv":
+        print(",".join(columns))
     failing = 0
-
-    def records():
-        nonlocal failing
-        for cert in _map_records(fn, graphs, _resolve_parallel(args)):
-            failing += cert is not None
-            rec = {"critical": cert is None, "certificate": None if cert is None else cert.to_json()}
-            yield _decide_columns_flatten(rec) if args.out == "csv" else rec
-
-    columns = ["critical", "kind", "s_set", "t_set", "deficiency"]
-    _emit_records(records(), args.out, columns, _decide_text)
-    if args.expect_critical and failing:
+    for rec in records:
+        failing += rec.get("critical") is False
+        if args.out == "csv":
+            cells = {**rec, **(rec.get("certificate") or {})}
+            print(",".join(_cell(cells.get(c)) for c in columns))
+        else:
+            print(json.dumps(rec) if args.out == "json" else text(rec))
+    if getattr(args, "expect_critical", False) and failing:
         print(f"{failing} of {len(graphs)} graphs are not critical", file=sys.stderr)
         return 1
     return 0
 
 
-def _cmd_factor(args) -> int:
-    graphs = _load_corpus(args)
-    fn = partial(_record_factor, a=args.a, b=args.b, fractional=args.fractional)
-    records = _map_records(fn, graphs, _resolve_parallel(args))
-    _emit_records(
-        records,
-        args.out,
-        ["exists"],
-        lambda r: "factor exists" if r["exists"] else "no factor",
-    )
-    return 0
+def _decider(route: str, flags: tuple[str, ...]):
+    """The _cmd_records handler of the decide, fractional or rk verb."""
+    def record(args):
+        params = route_params(route, *(getattr(args, f) for f in flags))
+        return partial(_record_decide, route=route, params=params)
+
+    columns = ["critical", "kind", "s_set", "t_set", "deficiency"]
+    return partial(_cmd_records, record=record, columns=columns, text=_decide_text)
 
 
 def _cmd_verify(args) -> int:
@@ -358,28 +301,39 @@ def build_parser() -> argparse.ArgumentParser:
                    help="convergence tolerance (default %(default)s)")
     p.add_argument("--max-iter", type=int, default=MAX_ITER, dest="max_iter",
                    help="iteration cap (default %(default)s)")
-    p.set_defaults(handler=_cmd_lambda)
+    p.set_defaults(handler=partial(
+        _cmd_records,
+        record=lambda args: partial(_record_lambda, tol=args.tol, max_iter=args.max_iter),
+        columns=["n", "lambda", "residual", "iterations", "connected"],
+        text=lambda r: f"n={r['n']} lambda={r['lambda']:.12f} residual={r['residual']:.3e}",
+    ))
 
     p = sub.add_parser("hong", help="degree-based spectral radius bound and observed slack")
     _add_input_flags(p)
     _add_output_flag(p)
-    p.set_defaults(handler=_cmd_hong)
+    p.set_defaults(handler=partial(
+        _cmd_records,
+        record=lambda args: _record_hong,
+        columns=["n", "edge_count", "min_degree", "bound", "lambda", "slack"],
+        text=lambda r: f"n={r['n']} m={r['edge_count']} bound={r['bound']:.12f} "
+                       f"lambda={r['lambda']:.12f} slack={r['slack']:.3e}",
+    ))
 
     p = sub.add_parser("decide", help="integral (a, b, k)-criticality with certificate")
     _add_window_flags(p)
     _add_decider_flags(p)
-    p.set_defaults(handler=partial(_cmd_decide, route="integral"))
+    p.set_defaults(handler=_decider("integral", ("a", "b", "k")))
 
     p = sub.add_parser("fractional", help="fractional (a, b, k)-criticality with certificate")
     _add_window_flags(p)
     _add_decider_flags(p)
-    p.set_defaults(handler=partial(_cmd_decide, route="fractional"))
+    p.set_defaults(handler=_decider("fractional", ("a", "b", "k")))
 
     p = sub.add_parser("rk", help="(r, k)-criticality (r-factors) by Tutte's parity condition")
     p.add_argument("--r", type=int, required=True, help="target degree r >= 2")
     p.add_argument("--k", type=int, default=0, help="deletion count k >= 0 (default 0)")
     _add_decider_flags(p)
-    p.set_defaults(handler=partial(_cmd_decide, route="parity", flags=("r", "k")))
+    p.set_defaults(handler=_decider("parity", ("r", "k")))
 
     p = sub.add_parser("factor", help="find an explicit [a, b]-factor of each input graph")
     p.add_argument("--a", type=int, required=True, help="lower degree bound a >= 0")
@@ -388,7 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="half-integral weights instead of an edge subset")
     _add_input_flags(p)
     _add_output_flag(p)
-    p.set_defaults(handler=_cmd_factor)
+    p.set_defaults(handler=partial(
+        _cmd_records,
+        record=lambda args: partial(_record_factor, a=args.a, b=args.b, fractional=args.fractional),
+        columns=["exists"],
+        text=lambda r: "factor exists" if r["exists"] else "no factor",
+    ))
 
     p = sub.add_parser("verify", help="run the verification battery")
     p.add_argument("--level", choices=["quick", "full"], default="quick",

@@ -1056,7 +1056,7 @@ _COUNTEREXAMPLES: dict[str, tuple[Callable[..., bool], Callable[[dict], tuple]]]
         lambda ce: (
             _sharpness_certificate(
                 deserialize_graph(ce["graph"]),
-                ce.get("route", "integral"),
+                ce["route"],
                 FactorParams(ce["a"], ce["b"], ce["k"]),
             ),
             ce["expected_s_set"],

@@ -261,14 +261,19 @@ def quotient_spectral_radius(g: Graph, parts: list[list[int]]) -> float:
     quo = quotient_matrix(g, parts)
     m = len(quo.entries)
     # power iteration on (B + I); B is tiny (one row per part) but not
-    # symmetric, so convergence is judged on the estimate and the residual
+    # symmetric, so convergence is judged on the estimate and the residual.
+    # Sums run left to right, not through sum(), whose float summation
+    # changed in Python 3.12, so every supported Python gives one result.
     x = [1.0] * m
     rho_prev = float("inf")
     for _ in range(MAX_ITER):
-        y = [x[i] + sum(quo.entries[i][j] * x[j] for j in range(m)) for i in range(m)]
-        dot_xy = sum(a * b for a, b in zip(x, y))
-        dot_xx = sum(a * a for a in x)
-        rho = dot_xy / dot_xx
+        y = []
+        for i in range(m):
+            acc = 0.0
+            for j in range(m):
+                acc += quo.entries[i][j] * x[j]
+            y.append(x[i] + acc)
+        rho = _rayleigh(x, y)
         residual = max(abs(y[i] - rho * x[i]) for i in range(m))
         scale = max(abs(v) for v in y) or 1.0
         x = [v / scale for v in y]

@@ -587,6 +587,7 @@ def test_revalidate_certificate_kind():
     ce = {
         "kind": "certificate-mismatch",
         "graph": serialize_graph(g),
+        "route": "integral",
         "a": 1,
         "b": 2,
         "k": 0,
@@ -597,6 +598,8 @@ def test_revalidate_certificate_kind():
     # the block deficiency is actually 1, so "expected 2" is a real mismatch
     assert integral_deficiency(g, (0,), FactorParams(1, 2, 0)) == 1
     assert revalidate_counterexample(ce)
+    # a missing route is a missing field, which does not reproduce
+    assert revalidate_counterexample({k: v for k, v in ce.items() if k != "route"}) is False
     ce["expected_deficiency"] = 1
     assert not revalidate_counterexample(ce)
     # an ill-formed window or graph does not reproduce, and raises nothing

@@ -15,7 +15,7 @@ from operator import truediv
 import numpy as np
 import pytest
 
-from factor_spectra.families import ExtremalParams, extremal_graph
+from factor_spectra.families import ExtremalParams, equitable_partition, extremal_graph
 from factor_spectra.graphs import (
     Graph,
     complete_bipartite,
@@ -457,6 +457,14 @@ class TestQuotient:
         g = complete_bipartite(1, 3)
         lam = quotient_spectral_radius(g, [[0], [1, 2, 3]])
         assert lam == pytest.approx(math.sqrt(3), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "n, lam", [(5, 2.342923082776404), (7, 4.105482616526042), (13, 10.018452254790924)]
+    )
+    def test_same_bits_on_every_python(self, n, lam):
+        # exact floats: sum() would give other last bits from Python 3.12 on
+        params = ExtremalParams(1, 1, 0, n)
+        assert quotient_spectral_radius(extremal_graph(params), equitable_partition(params)) == lam
 
     def test_quotient_entries(self):
         g = complete_bipartite(2, 3)
