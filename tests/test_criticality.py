@@ -19,10 +19,13 @@ import pytest
 
 from factor_spectra import criticality, factors, harness
 from factor_spectra.criticality import (
+    SUBSET_SWEEP_CAP,
     DeficiencyCertificate,
     FactorParams,
+    certificate_at,
     count_odd_components,
     critical_by_definition,
+    decide,
     definition_oracle,
     fractional_deficiency,
     integral_deficiency,
@@ -36,6 +39,7 @@ from factor_spectra.criticality import (
 )
 from factor_spectra.graphs import (
     Graph,
+    bits,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -94,6 +98,34 @@ def naive_parity_first_violation(g: Graph, r: int, k: int):
                     surplus = r * len(x) - r * len(y) + dsum - h - r * k
                     if surplus < 0:
                         return x, y, -surplus
+    return None
+
+
+def reference_sweep(g: Graph, route: str, params: FactorParams):
+    """The integral and fractional subset sweep as it was before it read
+    only the rows that can fall short, kept as the oracle for
+    `criticality._sweep`: every S with |S| >= k, by size then lex, each
+    against every adjacency row.  The kernel and the subset order are
+    copied in, so the oracle does not move with the module."""
+    a, b, k = params.a, params.b, params.k
+    if g.n < a + k + 1:
+        raise ValueError(f"need n >= a + k + 1 = {a + k + 1}, got n={g.n}")
+    if g.n > SUBSET_SWEEP_CAP:
+        raise ValueError(f"n={g.n} exceeds the sweep cap {SUBSET_SWEEP_CAP}")
+    pairs = [(1 << v, row) for v, row in enumerate(g.adj)]
+    singletons = [1 << v for v in range(g.n)]
+    for s_size in range(k, g.n + 1):
+        for combo in itertools.combinations(singletons, s_size):
+            s_mask = sum(combo)
+            keep = ~s_mask
+            total = b * (k - s_size)
+            for bit, row in pairs:
+                if not s_mask & bit:
+                    d = (row & keep).bit_count()
+                    if d < a:
+                        total += a - d
+            if total > 0:
+                return certificate_at(g, route, params, tuple(bits(s_mask)))
     return None
 
 
@@ -245,9 +277,10 @@ class TestIntegralDecider:
             is_abk_critical(complete_graph(21), P120)
 
     def test_sweep_memory_stays_bounded(self):
-        # the sweep enumerates deletion sets lazily: 2^16 of them must fit
-        # in well under 1 MB, and nothing may outlive the call
-        g = complete_graph(16)
+        # the sweep enumerates deletion sets lazily: on C16 it evaluates
+        # every S with |S| >= 2, 2^16 - 17 of them, in well under 1 MB, and
+        # nothing may outlive the call (K16 would leave it only 17 sets)
+        g = cycle_graph(16)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -304,6 +337,87 @@ class TestFractionalDecider:
                     continue
                 if is_abk_critical(g, params) is None:
                     assert is_fractional_abk_critical(g, params) is None
+
+
+class TestSubsetSweep:
+    """`decide` on the integral and fractional routes against
+    `reference_sweep`: the same certificate JSON, the same None, or the
+    same ValueError message."""
+
+    # (a, b, k); the integral route only where b > a
+    PARAMS = ((1, 2, 0), (1, 2, 1), (1, 2, 2), (2, 3, 0), (2, 3, 1), (1, 3, 1), (1, 1, 0), (2, 2, 1), (3, 3, 0))
+
+    @staticmethod
+    def outcome(fn, g: Graph, route: str, params: FactorParams) -> str:
+        try:
+            cert = fn(g, route, params)
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+        return json.dumps(None if cert is None else cert.to_json())
+
+    def same(self, g: Graph, route: str, params: FactorParams) -> str:
+        got = self.outcome(decide, g, route, params)
+        assert got == self.outcome(reference_sweep, g, route, params), (g.adj, route, params)
+        return got[:5]
+
+    def routes(self, g: Graph, params) -> list[str]:
+        return [
+            self.same(g, route, FactorParams(*nums))
+            for nums in params
+            for route in ("integral", "fractional")
+            if route == "fractional" or nums[1] > nums[0]
+        ]
+
+    def test_every_graph_up_to_five(self):
+        kinds = set()
+        for n in range(6):
+            for g in enumerate_graphs(n):
+                kinds.update(self.routes(g, self.PARAMS))
+        assert kinds == {"null", '{"kin', "Value"}
+
+    def test_connected_graphs_on_six(self):
+        # the decider-cross-validation grid items on the sweep
+        kinds = set()
+        for g in enumerate_graphs(6, connected_only=True):
+            kinds.add(self.same(g, "integral", FactorParams(2, 3, 0)))
+            kinds.add(self.same(g, "fractional", FactorParams(2, 2, 1)))
+        assert kinds == {"null", '{"kin'}
+
+    def test_seeded_random_graphs(self):
+        # sparse graphs refute early, dense ones sweep every set
+        rng = random.Random(2035)
+        kinds = set()
+        for _ in range(30):
+            n = rng.randint(7, 16)
+            g = random_graph(n, rng.choice([0.2, 0.35, 0.5, 0.7, 0.85, 0.95]), rng)
+            kinds.update(self.routes(g, [rng.choice(self.PARAMS)]))
+        assert kinds == {"null", '{"kin'}
+
+    def test_complete_graphs_and_cycles(self):
+        kinds = set()
+        for n in (*range(1, 13), SUBSET_SWEEP_CAP + 1):
+            graphs = [complete_graph(n)] + ([cycle_graph(n)] if n >= 3 else [])
+            for g in graphs:
+                kinds.update(self.routes(g, self.PARAMS))
+        assert kinds == {"null", '{"kin', "Value"}
+
+    def test_certificates_pinned(self):
+        # every certificate (or None) over a seeded corpus, byte for byte:
+        # a sweep change that moves any first violation moves this digest
+        rng = random.Random(2036)
+        digest = hashlib.sha256()
+        for _ in range(150):
+            n = rng.randint(5, 11)
+            g = random_graph(n, rng.choice([0.3, 0.5, 0.7, 0.9]), rng)
+            for nums in ((1, 2, 0), (1, 2, 1), (2, 3, 0), (2, 3, 1)):
+                for route in ("integral", "fractional"):
+                    cert = decide(g, route, FactorParams(*nums))
+                    digest.update(json.dumps(None if cert is None else cert.to_json()).encode())
+            cert = decide(g, "fractional", FactorParams(2, 2, 1))
+            digest.update(json.dumps(None if cert is None else cert.to_json()).encode())
+        assert digest.hexdigest() == (
+            "3917d87b783d758f674582cadc97c39c3c4c798ff226376fe07b78ea21dc5f1a"
+        )
 
 
 class TestParityDecider:
