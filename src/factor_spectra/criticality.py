@@ -27,12 +27,14 @@ only in which vertices their certificates list as T.
 Deciders sweep candidate sets in increasing size, then lexicographic
 order, and return the first violating set as a DeficiencyCertificate
 (deficiency = the amount by which the inequality fails; violating iff
-> 0), so certificates are deterministic and minimal in that order.  A
-returned None means critical.  The parity decider asks for witnesses
-first: on a graph of minimum degree >= r + k it calls `find_r_factor`
-once for G - K per k-set K, and answers critical when every call finds
-a factor; otherwise the pair sweep runs and gives the certificate.
-Callers pass a route name ("integral",
+> 0), so certificates are deterministic and minimal in that order.  The
+integral and fractional sweep reads at size s only the rows of vertices
+with d(x) < a + s, the only ones that can fall below a in G - S, and
+skips a size with none.  A returned None means critical.  The parity
+decider asks for witnesses first: on a graph of minimum degree >= r + k
+it calls `find_r_factor` once for G - K per k-set K, and answers
+critical when every call finds a factor; otherwise the pair sweep runs
+and gives the certificate.  Callers pass a route name ("integral",
 "fractional" or "parity") through and never branch on it: `route_params`,
 `certificate_at`, `decide` and `recheck_certificate` own each route's
 parameter shape, deficiency, T threshold and sweep.
@@ -198,7 +200,8 @@ def integral_deficiency(g: Graph, s_set, params: FactorParams) -> int:
 
 def _deficiency(pairs, s_mask: int, s_size: int, a: int, b: int, k: int) -> int:
     """sum of a - d_{G-S}(x) over x outside S with d_{G-S}(x) < a, minus
-    b(|S| - k); pairs holds (1 << v, adjacency row of v) for every v."""
+    b(|S| - k); pairs holds (1 << v, adjacency row of v) for every v that
+    can have d_{G-S}(v) < a, and may hold others."""
     keep = ~s_mask
     total = b * (k - s_size)
     for bit, row in pairs:
@@ -231,7 +234,8 @@ def fractional_deficiency(g: Graph, s_set, params: FactorParams) -> int:
     """bk - (b|S| - a|T| + sum_T d_{G-S}) with T at threshold a.
     Positive iff S witnesses that G is not fractionally (a, b, k)-critical."""
     s_mask, s_size = _deletion_mask(g, s_set, params.k)
-    return _deficiency(_pairs(g), s_mask, s_size, params.a, params.b, params.k)
+    pairs = [(1 << v, row) for v, row in enumerate(g.adj)]
+    return _deficiency(pairs, s_mask, s_size, params.a, params.b, params.k)
 
 
 def count_odd_components(g: Graph, x_set, y_set, r: int) -> int:
@@ -295,10 +299,6 @@ def certificate_at(
 # -- deciders -------------------------------------------------------------------
 
 
-def _pairs(g: Graph) -> list[tuple[int, int]]:
-    return [(1 << v, row) for v, row in enumerate(g.adj)]
-
-
 def _subsets_by_size(n: int, min_size: int):
     """(mask, size) for every subset of range(n) with size >= min_size,
     increasing size then lexicographic within a size.  Lazy, so a sweep
@@ -311,16 +311,28 @@ def _subsets_by_size(n: int, min_size: int):
 
 def _sweep(g: Graph, route: str, params: FactorParams) -> DeficiencyCertificate | None:
     """The first S with |S| >= k (by size, then lex) of positive
-    deficiency, as the route's certificate; None if none."""
+    deficiency, as the route's certificate; None if none.
+
+    Since d_{G-S}(x) >= d(x) - |S|, only a vertex with d(x) < a + |S|
+    can add to the deficiency, so each size reads only those "risky" rows;
+    a size with none has deficiency b(k - |S|) <= 0 at every S and is
+    skipped."""
     a, b, k = params.a, params.b, params.k
-    if g.n < a + k + 1:
-        raise ValueError(f"need n >= a + k + 1 = {a + k + 1}, got n={g.n}")
-    if g.n > SUBSET_SWEEP_CAP:
-        raise ValueError(f"n={g.n} exceeds the sweep cap {SUBSET_SWEEP_CAP}")
-    pairs = _pairs(g)
-    for s_mask, s_size in _subsets_by_size(g.n, k):
-        if _deficiency(pairs, s_mask, s_size, a, b, k) > 0:
-            return certificate_at(g, route, params, tuple(bits(s_mask)))
+    n, adj = g.n, g.adj
+    if n < a + k + 1:
+        raise ValueError(f"need n >= a + k + 1 = {a + k + 1}, got n={n}")
+    if n > SUBSET_SWEEP_CAP:
+        raise ValueError(f"n={n} exceeds the sweep cap {SUBSET_SWEEP_CAP}")
+    degrees = g.degrees()
+    singletons = [1 << v for v in range(n)]
+    for size in range(k, n + 1):
+        risky = [(1 << v, adj[v]) for v in range(n) if degrees[v] < a + size]
+        if not risky:
+            continue
+        for combo in itertools.combinations(singletons, size):
+            s_mask = sum(combo)
+            if _deficiency(risky, s_mask, size, a, b, k) > 0:
+                return certificate_at(g, route, params, tuple(bits(s_mask)))
     return None
 
 
