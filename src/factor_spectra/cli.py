@@ -1,17 +1,17 @@
 """Command-line front end for the toolkit.
 
 Six per-graph verbs share one pipeline: lambda (spectral radius by power
-iteration), hong (the degree-based radius bound), decide, fractional and
-rk (integral, fractional and parity-route criticality with deficiency
-certificates) and factor (explicit [a, b]-factors).  Each reads a corpus,
-graph6 with one graph per line or a single edge-list graph (--format
-edge-list), maps the verb's module-level worker over it, in worker
-processes with --parallel N (env FACTOR_SPECTRA_THREADS is the
-fallback), and prints one record per graph in input order as json
-(default), csv or text.  The other verbs build the extremal graphs
-(construct), run the verification battery (verify), search for
-conjecture counterexamples (explore) and translate graph6 and edge lists
-(convert).
+iteration, then Lanczos on slow inputs), hong (the degree-based radius
+bound), decide, fractional and rk (integral, fractional and parity-route
+criticality with deficiency certificates) and factor (explicit [a,
+b]-factors).  Each reads a corpus, graph6 with one graph per line or a
+single edge-list graph (--format edge-list), maps the verb's
+module-level worker over it, in worker processes with --parallel N (env
+FACTOR_SPECTRA_THREADS is the fallback), and prints one record per graph
+in input order as json (default), csv or text.  The other verbs build
+the extremal graphs (construct), run the verification battery (verify),
+search for conjecture counterexamples (explore) and translate graph6 and
+edge lists (convert).
 
 Exit codes: 0 success (all checks passed, all graphs critical when
 --expect-critical is set), 1 a check or expectation failed, 2 usage
@@ -294,13 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default="graph6", help="output form (default graph6)")
     p.set_defaults(handler=_cmd_construct)
 
-    p = sub.add_parser("lambda", help="adjacency spectral radius by power iteration")
+    p = sub.add_parser("lambda", help="adjacency spectral radius by power iteration, "
+                                      "then Lanczos on slow inputs")
     _add_input_flags(p)
     _add_output_flag(p)
     p.add_argument("--tol", type=float, default=TOL,
                    help="convergence tolerance (default %(default)s)")
     p.add_argument("--max-iter", type=int, default=MAX_ITER, dest="max_iter",
-                   help="iteration cap (default %(default)s)")
+                   help="cap on the steps of both phases (default %(default)s)")
     p.set_defaults(handler=partial(
         _cmd_records,
         record=lambda args: partial(_record_lambda, tol=args.tol, max_iter=args.max_iter),

@@ -32,6 +32,20 @@ lambda(M) <= max_i (Mx)_i / x_i holds, so with M = A + I the iteration
 can stop as soon as that maximum, minus 1, falls below the threshold.
 The bound needs x > 0 entrywise; x starts at all ones and stays
 nonnegative, so it is applied only while no entry has underflowed to 0.
+
+On a small spectral gap the power loop needs about n^2 steps (a path), so
+a call that has not stopped after LANCZOS_AFTER steps, with budget left,
+hands its last iterate to Lanczos (1950): the plain three-term recurrence
+on A + I, without reorthogonalisation, which Paige (1980) showed still
+converges in the extreme Ritz value.  The top Ritz value of the
+tridiagonal T_k comes from Sturm bisection, and a second pass of the
+recurrence sums the Ritz vector, so memory stays O(n).  That vector,
+scaled to max entry exactly 1, is reported only if the loop's own
+Rayleigh quotient and max-norm residual pass tol and its entries are
+nonnegative (positive on a connected graph); otherwise the power loop
+resumes from its last iterate.  Both phases count towards `iterations`
+and `max_iter`.  Calls that stop within LANCZOS_AFTER steps never reach
+Lanczos, and the Lanczos phase does not screen.
 """
 
 from __future__ import annotations
@@ -44,6 +58,8 @@ from .graphs import Graph
 
 TOL = 1e-10
 MAX_ITER = 100000
+# power steps before a call that has not converged hands over to Lanczos
+LANCZOS_AFTER = 1500
 
 
 class ConvergenceError(RuntimeError):
@@ -56,7 +72,8 @@ class SpectralReport:
 
     lam: the adjacency spectral radius.
     perron: eigenvector approximation, normalized to unit max entry.
-    iterations: power iteration steps used.
+    iterations: steps used: power steps, plus Lanczos steps when the
+        power loop ran LANCZOS_AFTER steps without stopping.
     residual: max-norm of A*x - lam*x at termination.
     connected: whether the graph was connected (if not, the Perron
         positivity guarantee is waived but the radius is still correct).
@@ -121,39 +138,61 @@ def _power_iteration(
     top = 0
     rho_prev: float | None = float("inf")
     kept = None
-    for it in range(1, max_iter + 1):
-        y = list(x)  # the +I part
-        for u, v in epairs:
-            y[u] += x[v]
-            y[v] += x[u]
-        if below is not None and min(x) > 0.0 and max(map(truediv, y, x)) - 1.0 < below:
-            return None
-        rho = None
-        if abs(y[probe] - y[top] * x[probe]) <= 4.0 * tol + y[top] * 2.0**-50:
-            rho = _rayleigh(x, y)
-            if abs(y[probe] - rho * x[probe]) < tol:
-                if rho_prev is None:
-                    rho_prev = _rayleigh(*kept)
-                if abs(rho - rho_prev) < tol:
-                    residuals = [abs(y[u] - rho * x[u]) for u in range(n)]
-                    residual = max(residuals)
-                    if residual < tol:
-                        return SpectralReport(
-                            lam=rho - 1.0,
-                            perron=tuple(x),
-                            iterations=it,
-                            residual=residual,
-                            connected=connected,
-                        )
-                    probe = residuals.index(residual)
-        scale = max(y)  # >= 1 since y >= x elementwise and max(x) = 1
-        top = y.index(scale)
-        kept = (x, y)
-        x = [v / scale for v in y]
-        rho_prev = rho
-    raise ConvergenceError(
-        f"power iteration did not reach tol={tol} within {max_iter} iterations"
-    )
+    first, last = 1, min(max_iter, LANCZOS_AFTER)
+    while True:
+        for it in range(first, last + 1):
+            y = list(x)  # the +I part
+            for u, v in epairs:
+                y[u] += x[v]
+                y[v] += x[u]
+            if below is not None and min(x) > 0.0 and max(map(truediv, y, x)) - 1.0 < below:
+                return None
+            rho = None
+            if abs(y[probe] - y[top] * x[probe]) <= 4.0 * tol + y[top] * 2.0**-50:
+                rho = _rayleigh(x, y)
+                if abs(y[probe] - rho * x[probe]) < tol:
+                    if rho_prev is None:
+                        rho_prev = _rayleigh(*kept)
+                    if abs(rho - rho_prev) < tol:
+                        residuals = [abs(y[u] - rho * x[u]) for u in range(n)]
+                        residual = max(residuals)
+                        if residual < tol:
+                            return SpectralReport(
+                                lam=rho - 1.0,
+                                perron=tuple(x),
+                                iterations=it,
+                                residual=residual,
+                                connected=connected,
+                            )
+                        probe = residuals.index(residual)
+            scale = max(y)  # >= 1 since y >= x elementwise and max(x) = 1
+            top = y.index(scale)
+            kept = (x, y)
+            x = [v / scale for v in y]
+            rho_prev = rho
+        if last == max_iter:
+            raise ConvergenceError(
+                f"power iteration did not reach tol={tol} within {max_iter} iterations"
+            )
+        # LANCZOS_AFTER power steps and budget left: try Lanczos from x, and
+        # if its vector fails the report's own test, resume the power loop
+        steps, z = _lanczos(epairs, x, tol, max_iter - last)
+        if z is not None and min(z) >= 0.0 and (min(z) > 0.0 or not connected):
+            y = list(z)
+            for u, v in epairs:
+                y[u] += z[v]
+                y[v] += z[u]
+            rho = _rayleigh(z, y)
+            residual = max([abs(y[u] - rho * z[u]) for u in range(n)])
+            if residual < tol:
+                return SpectralReport(
+                    lam=rho - 1.0,
+                    perron=tuple(z),
+                    iterations=last + steps,
+                    residual=residual,
+                    connected=connected,
+                )
+        first, last = last + steps + 1, max_iter
 
 
 def _rayleigh(x: list[float], y: list[float]) -> float:
@@ -164,6 +203,118 @@ def _rayleigh(x: list[float], y: list[float]) -> float:
         dot_xy += xu * yu
         dot_xx += xu * xu
     return dot_xy / dot_xx
+
+
+# -- Lanczos phase --------------------------------------------------------------
+
+
+def _lanczos(epairs, x: list[float], tol: float, budget: int) -> tuple[int, list[float] | None]:
+    """Plain three-term Lanczos on A + I from x, with no reorthogonalisation.
+
+    Returns the steps taken, at most budget, and the top Ritz vector scaled
+    so that its largest entry is exactly 1.0, or None when the recurrence
+    gave no vector worth testing.  The basis is never stored: T_k keeps
+    the alphas and betas, and a second pass of the same recurrence, to the
+    same bits, sums the Ritz vector.
+    """
+    n = len(x)
+    root_n = math.sqrt(n)
+    scale = _norm(x)
+    start = [v / scale for v in x]
+    q = start
+    alphas: list[float] = []
+    betas: list[float] = []
+    q_prev = [0.0] * n
+    beta = 0.0
+    for k in range(1, budget + 1):
+        w = _lanczos_product(epairs, q, q_prev, beta)
+        alpha = 0.0
+        for qu, wu in zip(q, w):
+            alpha += qu * wu
+        w = [wu - alpha * qu for wu, qu in zip(w, q)]
+        alphas.append(alpha)
+        beta = _norm(w)
+        theta, s = _top_ritz(alphas, betas)
+        # the unit Ritz vector has 2-norm residual beta |s_k| / ||s||, and
+        # scaled to unit max entry a max-norm residual at most sqrt(n) times
+        # that; rounding keeps the true residual above about n eps theta,
+        # so past that floor more steps cannot help
+        estimate = beta / _norm(s) * root_n
+        if estimate < tol or estimate <= n * 2.0**-52 * theta:
+            break
+        if k == budget or k == n:
+            return k, None
+        betas.append(beta)
+        q_prev, q = q, [wu / beta for wu in w]
+    # second pass: the same q_j from the kept coefficients, summed into z
+    q = start
+    q_prev = [0.0] * n
+    z = [0.0] * n
+    beta = 0.0
+    for j, sj in enumerate(s):
+        for u in range(n):
+            z[u] += sj * q[u]
+        if j + 1 == len(s):
+            break
+        w = _lanczos_product(epairs, q, q_prev, beta)
+        alpha = alphas[j]
+        beta = betas[j]
+        q_prev, q = q, [(wu - alpha * qu) / beta for wu, qu in zip(w, q)]
+    peak = max(z, key=abs)
+    return k, [zu / peak for zu in z]
+
+
+def _lanczos_product(epairs, q: list[float], q_prev: list[float], beta: float) -> list[float]:
+    """(A + I) q - beta q_prev, the Lanczos step before its alpha."""
+    w = list(q)
+    for u, v in epairs:
+        w[u] += q[v]
+        w[v] += q[u]
+    return [wu - beta * pu for wu, pu in zip(w, q_prev)]
+
+
+def _top_ritz(alphas: list[float], betas: list[float]) -> tuple[float, list[float]]:
+    """The top eigenvalue of the tridiagonal T with diagonal alphas and
+    off-diagonal betas (all positive), by Sturm bisection to the last bit,
+    and its eigenvector with last entry 1 by the backward recurrence of
+    (T - theta) s = 0, which grows towards the head where a converging
+    Ritz vector has its weight."""
+    k = len(alphas)
+    squares = [b * b for b in betas]
+    # every diagonal entry is a Rayleigh quotient of T; Gershgorin bounds above
+    padded = [0.0, *betas, 0.0]
+    lo = max(alphas)
+    hi = max(a + padded[i] + padded[i + 1] for i, a in enumerate(alphas))
+    while True:
+        mid = lo + (hi - lo) / 2.0
+        if not lo < mid < hi:
+            break
+        # all eigenvalues lie below mid iff every pivot of T - mid I is negative
+        d = alphas[0] - mid
+        i = 1
+        while d < 0.0 and i < k:
+            d = alphas[i] - mid - squares[i - 1] / d
+            i += 1
+        if d < 0.0:
+            hi = mid
+        else:
+            lo = mid
+    theta = hi
+    s = [0.0] * k
+    s[k - 1] = 1.0
+    if k > 1:
+        s[k - 2] = (theta - alphas[k - 1]) / betas[k - 2]
+    for i in range(k - 2, 0, -1):
+        s[i - 1] = ((theta - alphas[i]) * s[i] - betas[i] * s[i + 1]) / betas[i - 1]
+    return theta, s
+
+
+def _norm(x: list[float]) -> float:
+    """The 2-norm, summed left to right."""
+    acc = 0.0
+    for v in x:
+        acc += v * v
+    return math.sqrt(acc)
 
 
 # -- degree-edge upper bound --------------------------------------------------

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import random
 import re
 
 import pytest
@@ -134,6 +136,21 @@ def test_lambda_from_file_and_edge_list(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["lambda"] == pytest.approx(2.0, abs=1e-9)
 
+
+def test_lambda_on_a_long_relabelled_path(tmp_path, capsys):
+    # 500 vertices: the power loop alone ran out of max_iter and exited 1
+    perm = list(range(500))
+    random.Random(500).shuffle(perm)
+    edges = "".join(f"{perm[i]} {perm[i + 1]}\n" for i in range(499))
+    el = tmp_path / "p500.txt"
+    el.write_text(f"500\n{edges}", encoding="ascii")
+    code, out, _ = run_cli(["lambda", "--in", str(el), "--format", "edge-list"], capsys)
+    assert code == 0
+    (line,) = out.splitlines()
+    rec = json.loads(line)
+    assert rec["n"] == 500
+    assert abs(rec["lambda"] - 2 * math.cos(math.pi / 501)) <= 1e-12
+    assert rec["residual"] < 1e-10
 
 def test_hong_record(capsys, monkeypatch):
     code, out, _ = run_cli(["hong"], capsys, stdin=K5 + "\n", monkeypatch=monkeypatch)

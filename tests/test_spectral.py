@@ -317,15 +317,21 @@ def prufer_tree(rng: random.Random, n: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def caterpillar(rng: random.Random, spine: int, max_legs: int) -> Graph:
-    """A spine path with up to max_legs pendant vertices per spine vertex."""
-    n = spine
-    edges = [(i, i + 1) for i in range(spine - 1)]
-    for i in range(spine):
-        for _ in range(rng.randint(0, max_legs)):
+def legged_path(legs: list[int]) -> tuple[int, list[tuple[int, int]]]:
+    """A spine path with legs[i] pendant vertices on spine vertex i."""
+    n = len(legs)
+    edges = [(i, i + 1) for i in range(n - 1)]
+    for i, count in enumerate(legs):
+        for _ in range(count):
             edges.append((i, n))
             n += 1
-    return relabelled(rng, n, edges)
+    return n, edges
+
+
+def caterpillar(rng: random.Random, spine: int, max_legs: int) -> Graph:
+    """A spine path with up to max_legs pendant vertices per spine vertex."""
+    legs = [rng.randint(0, max_legs) for _ in range(spine)]
+    return relabelled(rng, *legged_path(legs))
 
 
 def sparse_graphs(seed: int) -> list[Graph]:
@@ -343,7 +349,9 @@ class TestAgainstReferenceLoop:
     report field, every None from the screen, every ConvergenceError."""
 
     TOLS = (1e-4, 1e-8, 1e-10, 1e-12, 1e-14, 1e-15, 1e-16, 5e-324)
-    MAX_ITER = 3000
+    # the reference is the power loop alone, so the budget stops where the
+    # Lanczos phase would begin; TestLanczosPhase covers what lies beyond
+    MAX_ITER = spectral.LANCZOS_AFTER
 
     @staticmethod
     def outcome(fn, g: Graph, tol: float, max_iter: int, below: float | None) -> str:
@@ -393,6 +401,80 @@ class TestAgainstReferenceLoop:
         for tol in self.TOLS:
             for below in (None, 1.0, 2.5):
                 self.same(g, tol, self.MAX_ITER, below)
+
+
+class TestLanczosPhase:
+    """Calls the power loop has not finished after LANCZOS_AFTER steps."""
+
+    T = spectral.LANCZOS_AFTER
+
+    def assert_contract(self, g: Graph, report: SpectralReport, tol: float = spectral.TOL):
+        x = report.perron
+        assert max(x) == 1.0
+        assert min(x) > 0.0
+        assert report.iterations > self.T
+        # the residual of the report's own vector, recomputed from it alone
+        y = list(x)
+        for u, v in g.edges():
+            y[u] += x[v]
+            y[v] += x[u]
+        dot_xy = dot_xx = 0.0
+        for xu, yu in zip(x, y):
+            dot_xy += xu * yu
+            dot_xx += xu * xu
+        rho = dot_xy / dot_xx
+        assert max(abs(y[u] - rho * x[u]) for u in range(g.n)) < tol
+
+    @pytest.mark.parametrize("n", [62, 100, 300, 500])
+    def test_relabelled_paths(self, n):
+        # P_62 needs 2711 power steps; P_500 used to exhaust max_iter
+        g = relabelled(random.Random(n), n, [(i, i + 1) for i in range(n - 1)])
+        report = spectral_radius(g)
+        assert abs(report.lam - 2 * math.cos(math.pi / (n + 1))) <= 1e-12
+        self.assert_contract(g, report)
+        assert radius_unless_below(g, report.lam - 0.5) == report
+        assert radius_unless_below(g, report.lam + 0.5) is None
+
+    def test_twin_hub_caterpillar(self):
+        # inputs.twin_hub_caterpillar() of the benchmark: two 5-leg hubs at
+        # the ends of a 16-vertex spine and one leg on spine vertex 7, which
+        # the power loop alone needs several hundred thousand steps for
+        legs = [5] + [0] * 14 + [5]
+        legs[7] += 1
+        g = Graph.from_edges(*legged_path(legs))
+        report = spectral_radius(g)
+        assert abs(report.lam - numpy_radius(g)) <= 1e-12
+        self.assert_contract(g, report)
+        assert radius_unless_below(g, report.lam - 0.5) == report
+
+    def test_trees_and_caterpillars_against_numpy(self):
+        rng = random.Random(24)
+        graphs = [prufer_tree(rng, rng.randint(40, 200)) for _ in range(12)]
+        graphs += [caterpillar(rng, rng.randint(20, 60), 2) for _ in range(12)]
+        switched = 0
+        for g in graphs:
+            assert g.n <= 200
+            report = spectral_radius(g)
+            assert abs(report.lam - numpy_radius(g)) <= 1e-12
+            if report.iterations > self.T:
+                self.assert_contract(g, report)
+                switched += 1
+        assert switched >= 6
+
+    def test_reports_wherever_the_reference_loop_does(self):
+        switched = 0
+        for g in sparse_graphs(11):
+            for tol in TestAgainstReferenceLoop.TOLS:
+                try:
+                    report = spectral.spectral_radius(g, tol, 3000)
+                except ConvergenceError:
+                    with pytest.raises(ConvergenceError):
+                        reference_power_iteration(g, tol, 3000, None)
+                    continue
+                if report.iterations > self.T:
+                    self.assert_contract(g, report, tol)
+                    switched += 1
+        assert switched >= 10
 
 
 class TestHongBound:
