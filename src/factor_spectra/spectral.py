@@ -34,18 +34,22 @@ The bound needs x > 0 entrywise; x starts at all ones and stays
 nonnegative, so it is applied only while no entry has underflowed to 0.
 
 On a small spectral gap the power loop needs about n^2 steps (a path), so
-a call that has not stopped after LANCZOS_AFTER steps, with budget left,
-hands its last iterate to Lanczos (1950): the plain three-term recurrence
-on A + I, without reorthogonalisation, which Paige (1980) showed still
-converges in the extreme Ritz value.  The top Ritz value of the
-tridiagonal T_k comes from Sturm bisection, and a second pass of the
-recurrence sums the Ritz vector, so memory stays O(n).  That vector,
-scaled to max entry exactly 1, is reported only if the loop's own
+after every LANCZOS_AFTER power steps without a stop, with budget left,
+the call hands its current vector to Lanczos (1950): the plain
+three-term recurrence on A + I, without reorthogonalisation, which Paige
+(1980) showed still converges in the extreme Ritz value.  The top Ritz
+value of the tridiagonal T_k comes from Sturm bisection, and a second
+pass of the recurrence sums the Ritz vector, so memory stays O(n).  That
+vector, scaled to max entry exactly 1, is reported only if the loop's own
 Rayleigh quotient and max-norm residual pass tol and its entries are
-nonnegative (positive on a connected graph); otherwise the power loop
-resumes from its last iterate.  Both phases count towards `iterations`
-and `max_iter`.  Calls that stop within LANCZOS_AFTER steps never reach
-Lanczos, and the Lanczos phase does not screen.
+nonnegative (positive on a connected graph).  Otherwise the power loop
+resumes, from the Ritz vector when it is positive and from its last
+iterate when not, and tries Lanczos again after another LANCZOS_AFTER
+steps.  A tol below the Ritz vector's residual floor near n eps fails
+its test, and a few power steps from it then reach tol.  Both phases
+count towards `iterations` and `max_iter`.  Calls that stop within
+LANCZOS_AFTER steps never reach Lanczos, and the Lanczos phase does not
+screen.
 """
 
 from __future__ import annotations
@@ -58,8 +62,8 @@ from .graphs import Graph
 
 TOL = 1e-10
 MAX_ITER = 100000
-# power steps before a call that has not converged hands over to Lanczos
-LANCZOS_AFTER = 1500
+# power steps before each handover to Lanczos of a call that has not stopped
+LANCZOS_AFTER = 700
 
 
 class ConvergenceError(RuntimeError):
@@ -72,8 +76,8 @@ class SpectralReport:
 
     lam: the adjacency spectral radius.
     perron: eigenvector approximation, normalized to unit max entry.
-    iterations: steps used: power steps, plus Lanczos steps when the
-        power loop ran LANCZOS_AFTER steps without stopping.
+    iterations: steps used: power steps, plus the steps of every Lanczos
+        attempt, one after each LANCZOS_AFTER power steps without a stop.
     residual: max-norm of A*x - lam*x at termination.
     connected: whether the graph was connected (if not, the Perron
         positivity guarantee is waived but the radius is still correct).
@@ -138,8 +142,9 @@ def _power_iteration(
     top = 0
     rho_prev: float | None = float("inf")
     kept = None
-    first, last = 1, min(max_iter, LANCZOS_AFTER)
+    first = 1
     while True:
+        last = min(max_iter, first + LANCZOS_AFTER - 1)
         for it in range(first, last + 1):
             y = list(x)  # the +I part
             for u, v in epairs:
@@ -174,8 +179,9 @@ def _power_iteration(
             raise ConvergenceError(
                 f"power iteration did not reach tol={tol} within {max_iter} iterations"
             )
-        # LANCZOS_AFTER power steps and budget left: try Lanczos from x, and
-        # if its vector fails the report's own test, resume the power loop
+        # LANCZOS_AFTER power steps and budget left: try Lanczos from x; if
+        # its vector fails the report's own test, the power loop resumes
+        # from that vector when it is positive, else from x
         steps, z = _lanczos(epairs, x, tol, max_iter - last)
         if z is not None and min(z) >= 0.0 and (min(z) > 0.0 or not connected):
             y = list(z)
@@ -192,7 +198,10 @@ def _power_iteration(
                     residual=residual,
                     connected=connected,
                 )
-        first, last = last + steps + 1, max_iter
+            if min(z) > 0.0:
+                # z has max entry exactly 1.0; no rho of its own yet
+                x, top, rho_prev, kept = z, z.index(1.0), float("inf"), None
+        first = last + steps + 1
 
 
 def _rayleigh(x: list[float], y: list[float]) -> float:

@@ -150,7 +150,7 @@ class TestSpectralRadius:
         for g in report_corpus():
             digest.update(repr(spectral_radius(g)).encode())
         assert digest.hexdigest() == (
-            "64a590e650751f76fe84f82c31a335295aef56e217bca53db9548974eff6b64e"
+            "898e50a11ef7a981c5c5275650cd5a60acf0731c5a42797ff34ac98db39e9088"
         )
 
     def test_degree_bounds_property(self):
@@ -239,9 +239,14 @@ class TestScreen:
 
     def test_bound_skipped_once_an_entry_underflows(self):
         # the isolated vertex's entry decays as 1/(1 + lam)^t and reaches
-        # 0.0 long before the path converges; the bound needs x > 0
+        # 0.0 at step 680, before the path converges; the bound needs x > 0.
+        # The test needs that step to come before the first handover to
+        # Lanczos, at LANCZOS_AFTER = 700, which keeps the 0.0 and reports
+        # within n steps.  A handover well before step 680 starts from an
+        # entry that Lanczos does not round to 0.0, and fails here
         g = disjoint_union(path_graph(40), empty_graph(1))
         report = spectral_radius(g)
+        assert report.iterations <= spectral.LANCZOS_AFTER + g.n
         assert min(report.perron) == 0.0
         assert radius_unless_below(g, report.lam - 0.1) == report
         assert radius_unless_below(g, 2.5) is None
@@ -350,7 +355,9 @@ class TestAgainstReferenceLoop:
 
     TOLS = (1e-4, 1e-8, 1e-10, 1e-12, 1e-14, 1e-15, 1e-16, 5e-324)
     # the reference is the power loop alone, so the budget stops where the
-    # Lanczos phase would begin; TestLanczosPhase covers what lies beyond
+    # first handover to Lanczos would begin; TestLanczosPhase covers the
+    # handovers, repeated every LANCZOS_AFTER power steps, and the power
+    # steps resumed from each failed attempt's Ritz vector
     MAX_ITER = spectral.LANCZOS_AFTER
 
     @staticmethod
@@ -446,6 +453,29 @@ class TestLanczosPhase:
         assert abs(report.lam - numpy_radius(g)) <= 1e-12
         self.assert_contract(g, report)
         assert radius_unless_below(g, report.lam - 0.5) == report
+
+    @pytest.mark.parametrize("n, tol", [(300, 1e-14), (500, 1e-13), (500, 1e-14)])
+    def test_tight_tolerances(self, n, tol):
+        # below the Ritz vector's residual floor near n eps an attempt
+        # fails, and the power loop resumed from its vector reports within
+        # a few steps.  Resuming from the last iterate instead took P_300
+        # 83,113 steps at 1e-14 and ran P_500 out of max_iter
+        g = relabelled(random.Random(n), n, [(i, i + 1) for i in range(n - 1)])
+        report = spectral_radius(g, tol)
+        self.assert_contract(g, report, tol)
+        assert report.iterations < 3 * self.T + n
+
+    def test_corpus_reports_past_the_handover(self):
+        # backs the digest of TestSpectralRadius.test_reports_pinned where
+        # it depends on the Lanczos phase: P_30 to P_40 end there
+        switched = 0
+        for g in report_corpus():
+            report = spectral_radius(g)
+            if report.iterations > self.T:
+                assert abs(report.lam - numpy_radius(g)) <= 1e-12
+                self.assert_contract(g, report)
+                switched += 1
+        assert switched >= 11
 
     def test_trees_and_caterpillars_against_numpy(self):
         rng = random.Random(24)
