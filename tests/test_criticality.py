@@ -29,7 +29,6 @@ from factor_spectra.criticality import (
     definition_oracle,
     fractional_deficiency,
     integral_deficiency,
-    integral_deficiency_histogram,
     is_abk_critical,
     is_fractional_abk_critical,
     is_rk_critical,
@@ -80,6 +79,22 @@ def naive_odd_components(g: Graph, x: set[int], y: set[int], r: int) -> int:
         if (r * len(comp) + e_to_y) % 2 == 1:
             odd += 1
     return odd
+
+
+def naive_low_set(g: Graph, s: list[int], threshold: int) -> tuple[int, ...]:
+    """T: the vertices outside S with at most `threshold` neighbours outside S."""
+    outside = [v for v in range(g.n) if v not in s]
+    return tuple(
+        x for x in outside if sum(1 for v in g.neighbors(x) if v not in s) <= threshold
+    )
+
+
+def naive_deficiency(g: Graph, s: list[int], a: int, b: int, k: int) -> int:
+    """a|T| - sum_T d_{G-S}(x) - b|S| + bk with T at threshold a - 1."""
+    degree = {
+        x: sum(1 for v in g.neighbors(x) if v not in s) for x in naive_low_set(g, s, a - 1)
+    }
+    return sum(a - d for d in degree.values()) - b * len(s) + b * k
 
 
 def naive_parity_first_violation(g: Graph, r: int, k: int):
@@ -156,7 +171,7 @@ class TestDeficiencies:
         # b|S| - a|T| + sum = 2 - 3 + 0 = -1, so deficiency = 0 - (-1) = 1
         assert fractional_deficiency(g, [0], P120) == 1
 
-    def test_histogram_form_agrees_random(self):
+    def test_matches_naive_random(self):
         rng = random.Random(41)
         for _ in range(10000):
             n = rng.randint(2, 9)
@@ -168,10 +183,12 @@ class TestDeficiencies:
             if len(s) < k:
                 continue
             params = FactorParams(a, b, k)
-            assert integral_deficiency(g, s, params) == integral_deficiency_histogram(
-                g, s, params
-            )
-            assert fractional_deficiency(g, s, params) == integral_deficiency(g, s, params)
+            expected = naive_deficiency(g, s, a, b, k)
+            assert fractional_deficiency(g, s, params) == expected
+            for route, threshold in (("integral", a - 1), ("fractional", a)):
+                cert = certificate_at(g, route, params, s)
+                assert cert.deficiency == expected
+                assert cert.t_set == naive_low_set(g, s, threshold)
 
     def test_requires_b_gt_a(self):
         with pytest.raises(ValueError):
