@@ -190,14 +190,6 @@ def route_params(route: str, *nums: int) -> FactorParams:
     return params
 
 
-def integral_deficiency(g: Graph, s_set, params: FactorParams) -> int:
-    """a|T| - sum_T d_{G-S} - b|S| + bk with T at threshold a-1.
-    Positive iff S witnesses that G is not (a, b, k)-critical.  Equal to
-    fractional_deficiency: vertices of degree a add a - a = 0 to it."""
-    _integral_guard(params)
-    return fractional_deficiency(g, s_set, params)
-
-
 def _deficiency(pairs, s_mask: int, s_size: int, a: int, b: int, k: int) -> int:
     """sum of a - d_{G-S}(x) over x outside S with d_{G-S}(x) < a, minus
     b(|S| - k); pairs holds (1 << v, adjacency row of v) for every v that
@@ -212,39 +204,18 @@ def _deficiency(pairs, s_mask: int, s_size: int, a: int, b: int, k: int) -> int:
     return total
 
 
-def integral_deficiency_histogram(g: Graph, s_set, params: FactorParams) -> int:
-    """The same deficiency computed from the degree histogram of G - S:
-    sum_{j=0}^{a-1} (a - j) p_j - b|S| + bk where p_j counts vertices of
-    degree exactly j in G - S."""
-    _integral_guard(params)
-    a, b, k = params.a, params.b, params.k
-    s_mask, s_size = _deletion_mask(g, s_set, k)
-    keep = ~s_mask
-    hist = [0] * a
-    for v in range(g.n):
-        if s_mask >> v & 1:
-            continue
-        d = (g.adj[v] & keep).bit_count()
-        if d < a:
-            hist[d] += 1
-    return sum((a - j) * hist[j] for j in range(a)) - b * (s_size - k)
-
-
 def fractional_deficiency(g: Graph, s_set, params: FactorParams) -> int:
     """bk - (b|S| - a|T| + sum_T d_{G-S}) with T at threshold a.
-    Positive iff S witnesses that G is not fractionally (a, b, k)-critical."""
+    Positive iff S witnesses that G is not fractionally (a, b, k)-critical,
+    and for b > a not (a, b, k)-critical: the integral T, at threshold
+    a-1, gives the same sum, since a vertex of degree a adds a - a = 0."""
     s_mask, s_size = _deletion_mask(g, s_set, params.k)
     pairs = [(1 << v, row) for v, row in enumerate(g.adj)]
     return _deficiency(pairs, s_mask, s_size, params.a, params.b, params.k)
 
 
-def count_odd_components(g: Graph, x_set, y_set, r: int) -> int:
-    """Components C of G - (X u Y) with r|V(C)| + e_G(Y, V(C)) odd."""
-    x_mask, y_mask = _pair_masks(g, x_set, y_set, r)
-    return _count_odd_components_mask(g.adj, g.n, x_mask, y_mask, r)
-
-
 def _count_odd_components_mask(adj, n, x_mask, y_mask, r) -> int:
+    """Components C of G - (X u Y) with r|V(C)| + e_G(Y, V(C)) odd."""
     rest = ((1 << n) - 1) & ~(x_mask | y_mask)
     odd = 0
     while rest:
@@ -288,11 +259,13 @@ def certificate_at(
         d = parity_deficiency(g, s_set, y_set, _parity_r(params), params.k)
         return DeficiencyCertificate(route, s_set, tuple(y_set), d)
     if route == "integral":
-        d, threshold = integral_deficiency(g, s_set, params), params.a - 1
+        _integral_guard(params)
+        threshold = params.a - 1
     elif route == "fractional":
-        d, threshold = fractional_deficiency(g, s_set, params), params.a
+        threshold = params.a
     else:
         raise ValueError(f"unknown route {route!r}")
+    d = fractional_deficiency(g, s_set, params)
     return DeficiencyCertificate(route, s_set, low_degree_set(g, s_set, threshold), d)
 
 

@@ -27,8 +27,9 @@ Facts covered:
   the attached independent vertex and the entry of an untouched one.
 * decider cross-validation: the deficiency-sweep deciders agree with
   brute-force factor search after every k-deletion, exhaustively over
-  small connected graphs; the two equivalent forms of the integral
-  deficiency agree on every (graph, deletion set) pair.
+  small connected graphs.  For b > a the integral and fractional
+  deficiencies are equal, so both deciders share one kernel and the check
+  compares verdicts, not two formulas for the same sum.
 * degree-based radius bound: lambda <= (delta-1)/2 +
   sqrt(2e - n*delta + (delta+1)^2/4) with equality exactly on regular
   and {delta, n-1}-bidegreed graphs, plus monotonicity of the bound
@@ -50,7 +51,6 @@ revalidate_counterexample() can confirm from serialization alone.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import asdict, dataclass, field
@@ -66,8 +66,6 @@ from .criticality import (
     critical_by_definition,
     decide,
     definition_oracle,
-    integral_deficiency,
-    integral_deficiency_histogram,
     is_rk_critical,
     recheck_certificate,
     route_params,
@@ -96,7 +94,6 @@ STRICT_MARGIN = 1e-9
 PROPERTY_MARGIN = 1e-10
 BRACKET_MARGIN = 1e-8
 FAMILY_MAX_A = 5
-HISTOGRAM_IDENTITY_N_CAP = 5
 
 
 @dataclass
@@ -498,12 +495,6 @@ def _decider_disagrees(cert: DeficiencyCertificate | None, definition: bool) -> 
     return (cert is None) != definition
 
 
-def _histogram_off(g: Graph, s_set, params: FactorParams) -> bool:
-    return integral_deficiency(g, s_set, params) != integral_deficiency_histogram(
-        g, s_set, params
-    )
-
-
 def cross_validate_deciders(n_max: int, param_grid: Iterable) -> CheckResult:
     """Deficiency-sweep deciders versus brute-force factor search after
     every k-deletion, exhaustively over connected graphs with n <= n_max
@@ -513,11 +504,8 @@ def cross_validate_deciders(n_max: int, param_grid: Iterable) -> CheckResult:
     graphs).  That memo holds one bool per labelled graph on at most
     n_max - k vertices (about 33k at n_max = 7) and is dropped when the
     call returns; at k = 0 every graph is searched once and nothing is
-    kept.  Also checks the histogram form of the integral
-    deficiency against the direct form on every (graph, deletion set)
-    pair for the integral grid items, on the n <= 5 sub-corpus.  An n_max
-    below some item's smallest decidable order a+k+1 is hypothesis_not_met,
-    since that item would be compared on no graph."""
+    kept.  An n_max below some item's smallest decidable order a+k+1 is
+    hypothesis_not_met, since that item would be compared on no graph."""
     if not 1 <= n_max <= 7:
         raise ValueError(f"exhaustive cross-validation needs 1 <= n_max <= 7, got {n_max}")
     grid = [((route, *nums), route, route_params(route, *nums)) for route, *nums in param_grid]
@@ -531,7 +519,6 @@ def cross_validate_deciders(n_max: int, param_grid: Iterable) -> CheckResult:
     definitions = [definition_oracle(p, route) for _, route, p in grid]
     compared = {"integral": 0, "fractional": 0, "parity": 0}
     skipped = 0
-    histogram_pairs = 0
     graphs = 0
     for n in range(1, n_max + 1):
         for g in enumerate_graphs(n, connected_only=True):
@@ -555,34 +542,12 @@ def cross_validate_deciders(n_max: int, param_grid: Iterable) -> CheckResult:
                         },
                     )
                 compared[route] += 1
-            if g.n > HISTOGRAM_IDENTITY_N_CAP:
-                continue
-            for item, route, p in grid:
-                if route != "integral":
-                    continue
-                for size in range(p.k, n + 1):
-                    for combo in itertools.combinations(range(n), size):
-                        histogram_pairs += 1
-                        if _histogram_off(g, combo, p):
-                            return result(
-                                "fail",
-                                {"graphs": graphs, **compared},
-                                counterexample={
-                                    "kind": "histogram-identity-mismatch",
-                                    "graph": serialize_graph(g),
-                                    "s_set": list(combo),
-                                    "item": list(item),
-                                    "direct": integral_deficiency(g, combo, p),
-                                    "histogram": integral_deficiency_histogram(g, combo, p),
-                                },
-                            )
     return result(
         "pass",
         {
             "graphs": graphs,
             **{f"compared_{route}": count for route, count in compared.items()},
             "skipped_too_small": skipped,
-            "histogram_identity_pairs": histogram_pairs,
         },
     )
 
@@ -1077,12 +1042,6 @@ _COUNTEREXAMPLES: dict[str, tuple[Callable[..., bool], Callable[[dict], tuple]]]
             deserialize_graph(ce["graph"]), ce["item"][0], route_params(*ce["item"])
         ),
     ),
-    "histogram-identity-mismatch": (
-        _histogram_off,
-        lambda ce: (
-            deserialize_graph(ce["graph"]), tuple(ce["s_set"]), route_params(*ce["item"])
-        ),
-    ),
     "hong-equality-mismatch": (_hong_off, _hong_evidence),
     "curve-monotonicity-violation": (
         _curve_rises,
@@ -1209,7 +1168,3 @@ def run_check(name: str, kwargs: dict) -> CheckResult:
         raise ValueError(f"unknown check {name!r}") from None
     return fn(**kwargs)
 
-
-def run_battery(level: str = "quick", seed: int = 0) -> list[CheckResult]:
-    """Run the whole battery sequentially, in plan order."""
-    return [run_check(name, kwargs) for name, kwargs in battery_plan(level, seed)]

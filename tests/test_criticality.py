@@ -23,12 +23,10 @@ from factor_spectra.criticality import (
     DeficiencyCertificate,
     FactorParams,
     certificate_at,
-    count_odd_components,
     critical_by_definition,
     decide,
     definition_oracle,
     fractional_deficiency,
-    integral_deficiency,
     is_abk_critical,
     is_fractional_abk_critical,
     is_rk_critical,
@@ -164,7 +162,7 @@ class TestDeficiencies:
     def test_star_center_integral(self):
         g = complete_bipartite(1, 3)  # center is vertex 0
         assert low_degree_set(g, [0], 0) == (1, 2, 3)
-        assert integral_deficiency(g, [0], P120) == 1
+        assert certificate_at(g, "integral", P120, [0]).deficiency == 1
 
     def test_star_center_fractional(self):
         g = complete_bipartite(1, 3)
@@ -191,12 +189,12 @@ class TestDeficiencies:
                 assert cert.t_set == naive_low_set(g, s, threshold)
 
     def test_requires_b_gt_a(self):
-        with pytest.raises(ValueError):
-            integral_deficiency(complete_graph(4), [0], FactorParams(2, 2, 0))
+        with pytest.raises(ValueError, match="integral characterization needs b > a"):
+            certificate_at(complete_graph(4), "integral", FactorParams(2, 2, 0), [0])
 
     def test_requires_s_at_least_k(self):
         with pytest.raises(ValueError):
-            integral_deficiency(complete_graph(4), [], P121)
+            certificate_at(complete_graph(4), "integral", P121, [])
 
     def test_low_degree_set_thresholds(self):
         g = path_graph(4)
@@ -205,16 +203,22 @@ class TestDeficiencies:
         assert low_degree_set(g, [1], 1) == (0, 2, 3)
 
 
+def odd_components(g: Graph, x, y, r: int) -> int:
+    """The module's h(X, Y), from vertex lists."""
+    x_mask, y_mask = (sum(1 << v for v in vs) for vs in (x, y))
+    return criticality._count_odd_components_mask(g.adj, g.n, x_mask, y_mask, r)
+
+
 class TestOddComponents:
     def test_whole_graph_even(self):
-        assert count_odd_components(cycle_graph(6), [], [], 2) == 0
-        assert count_odd_components(complete_graph(4), [], [], 1) == 0
+        assert odd_components(cycle_graph(6), [], [], 2) == 0
+        assert odd_components(complete_graph(4), [], [], 1) == 0
 
     def test_singletons(self):
         g = path_graph(3)
-        assert count_odd_components(g, [1], [], 2) == 0  # 2*1+0 even
-        assert count_odd_components(g, [1], [], 1) == 2  # 1*1+0 odd, twice
-        assert count_odd_components(g, [], [1], 2) == 2  # 2*1+1 odd, twice
+        assert odd_components(g, [1], [], 2) == 0  # 2*1+0 even
+        assert odd_components(g, [1], [], 1) == 2  # 1*1+0 odd, twice
+        assert odd_components(g, [], [1], 2) == 2  # 2*1+1 odd, twice
 
     def test_matches_naive_random(self):
         rng = random.Random(47)
@@ -223,11 +227,11 @@ class TestOddComponents:
             g = random_graph(n, 0.4, rng)
             x, y = random_pair(g, rng)
             r = rng.randint(1, 3)
-            assert count_odd_components(g, x, y, r) == naive_odd_components(g, x, y, r)
+            assert odd_components(g, x, y, r) == naive_odd_components(g, x, y, r)
 
     def test_disjointness_enforced(self):
-        with pytest.raises(ValueError):
-            count_odd_components(complete_graph(3), [0], [0], 2)
+        with pytest.raises(ValueError, match="disjoint"):
+            parity_deficiency(complete_graph(3), [0], [0], 2, 0)
 
 
 class TestParityFacts:
@@ -255,7 +259,7 @@ class TestParityFacts:
             rest = set(range(g.n)) - x - y
             e_yr = sum(1 for u in y for v in g.neighbors(u) if v in rest)
             for r in (2, 4):
-                assert count_odd_components(g, x, y, r) <= min(e_yr, len(rest))
+                assert odd_components(g, x, y, r) <= min(e_yr, len(rest))
 
 
 class TestIntegralDecider:

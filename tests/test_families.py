@@ -11,8 +11,8 @@ import pytest
 
 from factor_spectra.criticality import (
     FactorParams,
+    certificate_at,
     fractional_deficiency,
-    integral_deficiency,
     low_degree_set,
 )
 from factor_spectra.families import (
@@ -117,7 +117,7 @@ class TestConstruction:
             )
             assert b * p.s_size - a * len(t) + deg_sum == b * k - 1
             if b > a:
-                assert integral_deficiency(g, s_block, fp) == 1
+                assert certificate_at(g, "integral", fp, s_block).deficiency == 1
 
     def test_fractional_rr_deficiency_at_s_block(self):
         # a = b = r case used by the fractional r-factor results

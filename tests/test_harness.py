@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from factor_spectra import criticality, factors, harness
-from factor_spectra.criticality import FactorParams, integral_deficiency, is_rk_critical
+from factor_spectra.criticality import FactorParams, certificate_at, is_rk_critical
 from factor_spectra.families import ExtremalParams, extremal_graph
 from factor_spectra.graphs import (
     complete_bipartite,
@@ -51,7 +51,6 @@ from factor_spectra.harness import (
     parity_spectral_min_n,
     perron_ratio_cubic,
     revalidate_counterexample,
-    run_battery,
     run_check,
     serialize_graph,
     size_min_n,
@@ -245,7 +244,6 @@ def test_cross_validation_small_corpus():
     # n=1..4 connected labeled graphs: 1 + 1 + 4 + 38
     assert r.metrics["graphs"] == 44
     assert r.metrics["compared_parity"] > 0
-    assert r.metrics["histogram_identity_pairs"] > 0
 
 
 def test_cross_validation_guards():
@@ -596,7 +594,7 @@ def test_revalidate_certificate_kind():
         "got": None,
     }
     # the block deficiency is actually 1, so "expected 2" is a real mismatch
-    assert integral_deficiency(g, (0,), FactorParams(1, 2, 0)) == 1
+    assert certificate_at(g, "integral", FactorParams(1, 2, 0), (0,)).deficiency == 1
     assert revalidate_counterexample(ce)
     # a missing route is a missing field, which does not reproduce
     assert revalidate_counterexample({k: v for k, v in ce.items() if k != "route"}) is False
@@ -618,17 +616,6 @@ def test_revalidate_decider_agreement_kinds():
     }
     # the routes agree on P_4, so the claimed disagreement does not reproduce
     assert not revalidate_counterexample(ce)
-    ce2 = {
-        "kind": "histogram-identity-mismatch",
-        "graph": serialize_graph(path_graph(4)),
-        "item": ["integral", 1, 2, 0],
-        "s_set": [0, 2],
-        "direct": 0,
-        "histogram": 1,
-    }
-    assert not revalidate_counterexample(ce2)
-    ce2.update(graph=serialize_graph(cycle_graph(5)), s_set=[7])
-    assert revalidate_counterexample(ce2) is False
 
 
 def test_revalidate_monotonicity_kind():
@@ -834,7 +821,7 @@ def _assert_same_record(got, want, path="record"):
 
 
 def test_quick_battery_all_pass():
-    results = run_battery("quick", seed=0)
+    results = [run_check(name, kwargs) for name, kwargs in battery_plan("quick", seed=0)]
     for r in results:
         assert r.status == "pass", (r.check_id, r.params, r.notes)
     # the records are those of `factor-spectra verify --level quick --seed 0`
@@ -859,7 +846,7 @@ FAIL_PATHS = [
     ("_certificate_off", lambda: check_sharpness(1, 2, 0, 40, "spectral-fractional"), "certificate-mismatch"),
     ("_perron_off", lambda: check_perron_system(2, 3, 0, 11), "perron-system-residual"),
     ("_decider_disagrees", lambda: cross_validate_deciders(4, [("integral", 1, 2, 0)]), "decider-disagreement"),
-    ("_histogram_off", lambda: cross_validate_deciders(4, [("integral", 1, 2, 0)]), "histogram-identity-mismatch"),
+    ("_decider_disagrees", lambda: cross_validate_deciders(4, [("parity", 2, 0)]), "decider-disagreement"),
     ("_hong_off", lambda: check_hong_bound(3), "hong-equality-mismatch"),
     ("_curve_rises", lambda: check_hong_bound(2), "curve-monotonicity-violation"),
     ("_not_lowered", lambda: check_subgraph_monotonicity(5), "monotonicity-violation"),
