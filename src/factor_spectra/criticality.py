@@ -34,10 +34,13 @@ skips a size with none.  A returned None means critical.  The parity
 decider asks for witnesses first: on a graph of minimum degree >= r + k
 it calls `find_r_factor` once for G - K per k-set K, and answers
 critical when every call finds a factor; otherwise the pair sweep runs
-and gives the certificate.  Callers pass a route name ("integral",
-"fractional" or "parity") through and never branch on it: `route_params`,
-`certificate_at`, `decide` and `recheck_certificate` own each route's
-parameter shape, deficiency, T threshold and sweep.
+and gives the certificate.  Callers pass a route name (one of ROUTES:
+"integral", "fractional" or "parity") through and never branch on it.
+One check, `_check_route`, rejects an unknown name and a shape the route
+cannot decide (b <= a for integral, a != b or r < 2 for parity); every
+entry point that takes a route calls it, except that the definitional
+integral mode takes a == b.  `certificate_at` pairs each route with its
+deficiency and T threshold, `decide` with its sweep.
 `critical_by_definition` is the independent brute-force route used to
 cross-validate the deciders; its parity mode backtracks with
 `find_ab_factor`, so it shares no factor oracle with `is_rk_critical`.
@@ -56,6 +59,7 @@ from .graphs import Graph, bits, component
 
 SUBSET_SWEEP_CAP = 20
 PAIR_SWEEP_CAP = 12
+ROUTES = ("integral", "fractional", "parity")
 
 
 @dataclass(frozen=True)
@@ -104,14 +108,13 @@ class DeficiencyCertificate:
 
     @staticmethod
     def from_json(d: dict) -> "DeficiencyCertificate":
-        if d["kind"] not in ("integral", "fractional", "parity"):
+        if d["kind"] not in ROUTES:
             raise ValueError(f"unknown certificate kind {d['kind']!r}")
-        return DeficiencyCertificate(
-            kind=d["kind"],
-            s_set=tuple(d["s_set"]),
-            t_set=tuple(d["t_set"]),
-            deficiency=int(d["deficiency"]),
-        )
+        s_set, t_set = tuple(d["s_set"]), tuple(d["t_set"])
+        for value in (*s_set, *t_set, d["deficiency"]):
+            if type(value) is not int:
+                raise ValueError(f"certificate entry {value!r} is not an int")
+        return DeficiencyCertificate(d["kind"], s_set, t_set, d["deficiency"])
 
 
 def _mask_of(g: Graph, vertices) -> int:
@@ -123,24 +126,6 @@ def _mask_of(g: Graph, vertices) -> int:
             raise ValueError(f"vertex {v} listed twice")
         m |= 1 << v
     return m
-
-
-def _deletion_mask(g: Graph, s_set, k: int) -> tuple[int, int]:
-    s_mask = _mask_of(g, s_set)
-    s_size = s_mask.bit_count()
-    if s_size < k:
-        raise ValueError(f"|S| = {s_size} below k = {k}")
-    return s_mask, s_size
-
-
-def _pair_masks(g: Graph, x_set, y_set, r: int) -> tuple[int, int]:
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    x_mask = _mask_of(g, x_set)
-    y_mask = _mask_of(g, y_set)
-    if x_mask & y_mask:
-        raise ValueError("X and Y must be disjoint")
-    return x_mask, y_mask
 
 
 def low_degree_set(g: Graph, s_set, max_degree: int) -> tuple[int, ...]:
@@ -157,19 +142,21 @@ def low_degree_set(g: Graph, s_set, max_degree: int) -> tuple[int, ...]:
 # -- deficiencies --------------------------------------------------------------
 
 
-def _integral_guard(params: FactorParams) -> None:
-    if params.b <= params.a:
+def _check_route(route: str, a: int, b: int) -> None:
+    """Raise ValueError unless route is one of ROUTES and can decide the
+    window [a, b]: integral needs b > a, parity a == b == r >= 2."""
+    if route == "integral" and b <= a:
         raise ValueError(
             "integral characterization needs b > a; for a == b == r use the parity "
             "route (is_rk_critical, or the rk verb)"
         )
-
-
-def _parity_r(params: FactorParams) -> int:
-    """r of parity-route params FactorParams(r, r, k)."""
-    if params.a != params.b:
-        raise ValueError(f"the parity route needs a == b == r, got a={params.a}, b={params.b}")
-    return params.a
+    if route == "parity":
+        if a != b:
+            raise ValueError(f"the parity route needs a == b == r, got a={a}, b={b}")
+        if a < 2:
+            raise ValueError(f"parity characterization needs r >= 2, got r={a}")
+    if route not in ROUTES:
+        raise ValueError(f"unknown route {route!r}")
 
 
 def route_params(route: str, *nums: int) -> FactorParams:
@@ -178,15 +165,11 @@ def route_params(route: str, *nums: int) -> FactorParams:
     Raises ValueError for a shape the route cannot decide."""
     if route == "parity":
         r, k = nums
-        if r < 2:
-            raise ValueError(f"parity characterization needs r >= 2, got r={r}")
+        _check_route(route, r, r)  # before FactorParams, which would name r "a"
         return FactorParams(r, r, k)
     a, b, k = nums
     params = FactorParams(a, b, k)
-    if route == "integral":
-        _integral_guard(params)
-    elif route != "fractional":
-        raise ValueError(f"unknown route {route!r}")
+    _check_route(route, a, b)
     return params
 
 
@@ -209,7 +192,10 @@ def fractional_deficiency(g: Graph, s_set, params: FactorParams) -> int:
     Positive iff S witnesses that G is not fractionally (a, b, k)-critical,
     and for b > a not (a, b, k)-critical: the integral T, at threshold
     a-1, gives the same sum, since a vertex of degree a adds a - a = 0."""
-    s_mask, s_size = _deletion_mask(g, s_set, params.k)
+    s_mask = _mask_of(g, s_set)
+    s_size = s_mask.bit_count()
+    if s_size < params.k:
+        raise ValueError(f"|S| = {s_size} below k = {params.k}")
     pairs = [(1 << v, row) for v, row in enumerate(g.adj)]
     return _deficiency(pairs, s_mask, s_size, params.a, params.b, params.k)
 
@@ -237,7 +223,12 @@ def parity_deficiency(g: Graph, x_set, y_set, r: int, k: int) -> int:
     Positive iff (X, Y) witnesses that G is not (r, k)-critical."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    x_mask, y_mask = _pair_masks(g, x_set, y_set, r)
+    if r < 1:
+        raise ValueError(f"need r >= 1, got {r}")
+    x_mask = _mask_of(g, x_set)
+    y_mask = _mask_of(g, y_set)
+    if x_mask & y_mask:
+        raise ValueError("X and Y must be disjoint")
     if x_mask.bit_count() < k:
         raise ValueError(f"|X| = {x_mask.bit_count()} below k = {k}")
     h = _count_odd_components_mask(g.adj, g.n, x_mask, y_mask, r)
@@ -252,34 +243,19 @@ def certificate_at(
 ) -> DeficiencyCertificate:
     """The route's certificate at one set, violating or not.  "integral"
     and "fractional": S = s_set with T at threshold a-1 and a
-    respectively.  "parity": X = s_set and Y = y_set, with
-    params = FactorParams(r, r, k)."""
+    respectively, and y_set is not read.  "parity": X = s_set and
+    Y = y_set, with params = FactorParams(r, r, k)."""
+    _check_route(route, params.a, params.b)
     s_set = tuple(s_set)
     if route == "parity":
-        d = parity_deficiency(g, s_set, y_set, _parity_r(params), params.k)
+        d = parity_deficiency(g, s_set, y_set, params.a, params.k)
         return DeficiencyCertificate(route, s_set, tuple(y_set), d)
-    if route == "integral":
-        _integral_guard(params)
-        threshold = params.a - 1
-    elif route == "fractional":
-        threshold = params.a
-    else:
-        raise ValueError(f"unknown route {route!r}")
     d = fractional_deficiency(g, s_set, params)
+    threshold = params.a - (route == "integral")
     return DeficiencyCertificate(route, s_set, low_degree_set(g, s_set, threshold), d)
 
 
 # -- deciders -------------------------------------------------------------------
-
-
-def _subsets_by_size(n: int, min_size: int):
-    """(mask, size) for every subset of range(n) with size >= min_size,
-    increasing size then lexicographic within a size.  Lazy, so a sweep
-    holds one subset at a time."""
-    singletons = [1 << v for v in range(n)]
-    for size in range(min_size, n + 1):
-        for combo in itertools.combinations(singletons, size):
-            yield sum(combo), size
 
 
 def _sweep(g: Graph, route: str, params: FactorParams) -> DeficiencyCertificate | None:
@@ -313,7 +289,7 @@ def is_abk_critical(g: Graph, params: FactorParams) -> DeficiencyCertificate | N
     """None iff G is (a, b, k)-critical; else the first violating S (by
     size, then lex) as an integral certificate.  Needs b > a and
     n >= a + k + 1; every S with |S| >= k is enumerated, so n is capped."""
-    _integral_guard(params)
+    _check_route("integral", params.a, params.b)
     return _sweep(g, "integral", params)
 
 
@@ -342,9 +318,8 @@ def is_rk_critical(g: Graph, r: int, k: int) -> DeficiencyCertificate | None:
         raise ValueError(f"need n >= r + k + 1 = {r + k + 1}, got n={g.n}")
     if g.n > PAIR_SWEEP_CAP:
         raise ValueError(f"n={g.n} exceeds the pair sweep cap {PAIR_SWEEP_CAP}")
-    if g.min_degree() >= r + k and all(
-        find_r_factor(g.delete_vertices(kill) if kill else g, r) is not None
-        for kill in itertools.combinations(range(g.n), k)
+    if g.min_degree() >= r + k and _holds_after_deletions(
+        g, k, lambda h: find_r_factor(h, r) is not None
     ):
         return None
     return _pair_sweep(g, r, k)
@@ -385,43 +360,47 @@ def _pair_sweep(g: Graph, r: int, k: int) -> DeficiencyCertificate | None:
         risky[max(d - r + 2, 0)] |= 1 << v
     for s in range(n):
         risky[s + 1] |= risky[s]
-    for x_mask, x_size in _subsets_by_size(n, k):
+    singletons = [1 << v for v in range(n)]
+    for x_size in range(k, n + 1):
         base = r * (x_size - k)
         # `low` is the slice bound with h <= |R|, R = rest minus Y.  Over l
         # it falls by r - 1 - d_{G-X}(v) <= r - 1 at each short vertex, then
         # rises, so X is clean once its lowest value clears.  Counting every
         # rest vertex as short ends the sweep (the bound grows with |X|);
         # counting the risky ones skips X before any degree is read.
-        low = base - (n - x_size)
-        if low - (r - 1) * (n - x_size) > -slack:
+        size_low = base - (n - x_size)
+        if size_low - (r - 1) * (n - x_size) > -slack:
             break
-        if low - (r - 1) * (risky[x_size] & ~x_mask).bit_count() > -slack:
-            continue
-        keep = ~x_mask
-        deg = [(row & keep).bit_count() for row in adj]
-        rest = [v for v in range(n) if not x_mask >> v & 1]
-        short = [deg[v] for v in rest if deg[v] < r - 1]
-        if low + sum(short) - (r - 1) * len(short) > -slack:
-            continue
-        margins = sorted(deg[v] - r for v in rest)
-        for l in range(len(rest) + 1):
-            if l:
-                low += margins[l - 1] + 1
-            if low > -slack or (r % 2 == 0 and base - r * l > -slack):
+        for combo in itertools.combinations(singletons, x_size):
+            x_mask = sum(combo)
+            low = size_low
+            if low - (r - 1) * (risky[x_size] & ~x_mask).bit_count() > -slack:
                 continue
-            outside_size = len(rest) - l  # |R|
-            for y_combo in itertools.combinations(rest, l):
-                y_mask = 0
-                deg_sum = 0
-                for v in y_combo:
-                    y_mask |= 1 << v
-                    deg_sum += deg[v]
-                surplus = base + deg_sum - r * l  # before h is subtracted
-                if surplus - outside_size > -slack:
+            keep = ~x_mask
+            deg = [(row & keep).bit_count() for row in adj]
+            rest = [v for v in range(n) if not x_mask >> v & 1]
+            short = [deg[v] for v in rest if deg[v] < r - 1]
+            if low + sum(short) - (r - 1) * len(short) > -slack:
+                continue
+            margins = sorted(deg[v] - r for v in rest)
+            for l in range(len(rest) + 1):
+                if l:
+                    low += margins[l - 1] + 1
+                if low > -slack or (r % 2 == 0 and base - r * l > -slack):
                     continue
-                h = _count_odd_components_mask(adj, n, x_mask, y_mask, r)
-                if surplus - h < 0:
-                    return certificate_at(g, "parity", params, tuple(bits(x_mask)), y_combo)
+                outside_size = len(rest) - l  # |R|
+                for y_combo in itertools.combinations(rest, l):
+                    y_mask = 0
+                    deg_sum = 0
+                    for v in y_combo:
+                        y_mask |= 1 << v
+                        deg_sum += deg[v]
+                    surplus = base + deg_sum - r * l  # before h is subtracted
+                    if surplus - outside_size > -slack:
+                        continue
+                    h = _count_odd_components_mask(adj, n, x_mask, y_mask, r)
+                    if surplus - h < 0:
+                        return certificate_at(g, "parity", params, tuple(bits(x_mask)), y_combo)
     return None
 
 
@@ -429,31 +408,30 @@ def decide(g: Graph, route: str, params: FactorParams) -> DeficiencyCertificate 
     """The sweep for one route: "integral" (is_abk_critical), "fractional"
     (is_fractional_abk_critical) or "parity" (is_rk_critical, with
     params = FactorParams(r, r, k)).  None means critical."""
+    _check_route(route, params.a, params.b)
+    if route == "parity":
+        return is_rk_critical(g, params.a, params.k)
     if route == "integral":
         return is_abk_critical(g, params)
-    if route == "fractional":
-        return is_fractional_abk_critical(g, params)
-    if route == "parity":
-        return is_rk_critical(g, _parity_r(params), params.k)
-    raise ValueError(f"unknown route {route!r}")
+    return is_fractional_abk_critical(g, params)
 
 
 # -- definitional route ---------------------------------------------------------
 
 
 def _factor_test(params: FactorParams, mode: str) -> Callable[[Graph], bool]:
-    """Whether a graph has the mode's factor, by its witness oracle."""
-    if mode == "parity":
-        _parity_r(params)
-    elif mode not in ("integral", "fractional"):
-        raise ValueError(f"mode must be integral, fractional or parity, got {mode!r}")
+    """Whether a graph has the mode's factor, by its witness oracle.  The
+    definition needs no b > a, so the integral mode also takes a == b."""
+    if mode != "integral":
+        _check_route(mode, params.a, params.b)
     oracle = find_fractional_factor if mode == "fractional" else find_ab_factor
     a, b = params.a, params.b
     return lambda h: oracle(h, a, b) is not None
 
 
 def _holds_after_deletions(g: Graph, k: int, has_factor: Callable[[Graph], bool]) -> bool:
-    """The definition's one loop: has_factor(G - K) for every k-set K."""
+    """has_factor(G - K) for every k-set K: the definition's one loop, and
+    the parity decider's witness loop."""
     return all(
         has_factor(g.delete_vertices(kill) if kill else g)
         for kill in itertools.combinations(range(g.n), k)
@@ -502,5 +480,4 @@ def recheck_certificate(g: Graph, cert: DeficiencyCertificate, params: FactorPar
     """True iff the certificate's route, re-evaluated from scratch at its
     sets, gives back the same certificate and it is violating.  Parity
     certificates take params = FactorParams(r, r, k), as decide does."""
-    y_set = cert.t_set if cert.kind == "parity" else ()
-    return certificate_at(g, cert.kind, params, cert.s_set, y_set) == cert and cert.violating
+    return certificate_at(g, cert.kind, params, cert.s_set, cert.t_set) == cert and cert.violating

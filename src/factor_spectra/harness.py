@@ -152,17 +152,11 @@ def spectral_min_n(a: int, b: int, k: int) -> int:
     return 2 * (b + a + k + 2) * (b + k + 2)
 
 
-def parity_spectral_min_n(r: int, k: int) -> int:
-    """The order bound 2(2r + k + 2)(r + k + 2) of the spectral
-    condition for fractional (r, k)-criticality."""
-    return 2 * (2 * r + k + 2) * (r + k + 2)
-
-
 # target -> (a, b, k, n): the battery runs each sharpness target at its order bound
 _SHARPNESS_INSTANCES = {
     "spectral-integral": (1, 2, 0, spectral_min_n(1, 2, 0)),
     "spectral-fractional": (1, 2, 0, spectral_min_n(1, 2, 0)),
-    "spectral-fractional-rr": (2, 2, 0, parity_spectral_min_n(2, 0)),
+    "spectral-fractional-rr": (2, 2, 0, spectral_min_n(2, 2, 0)),
     "spectral-fractional-general": (2, 2, 0, spectral_min_n(2, 2, 0)),
 }
 SHARPNESS_TARGETS = tuple(_SHARPNESS_INSTANCES)
@@ -658,10 +652,9 @@ def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
     fparams = route_params(kind, a, b, k)
     if target == "spectral-fractional" and b <= a:
         raise ValueError(f"target {target} needs b > a, got a={a}, b={b}")
-    rr = target == "spectral-fractional-rr"
-    if rr and a != b:
+    if target == "spectral-fractional-rr" and a != b:
         raise ValueError(f"target {target} needs a == b, got a={a}, b={b}")
-    need = parity_spectral_min_n(a, k) if rr else spectral_min_n(a, b, k)
+    need = spectral_min_n(a, b, k)
     params = {"a": a, "b": b, "k": k, "n": n, "target": target}
     result = partial(CheckResult, "sharpness", params)
     if n < need:
@@ -839,7 +832,7 @@ def explore_conjecture(r: int, k: int, n: int, budget: int, seed: int = 0) -> Ch
     fp = ExtremalParams(r, r, k, n)
     distinguished = extremal_graph(fp)
     lam_f = spectral_radius(distinguished).lam
-    threshold = parity_spectral_min_n(r, k)
+    threshold = spectral_min_n(r, r, k)
     params = {"r": r, "k": k, "n": n, "budget": budget, "seed": seed}
     result = partial(CheckResult, "conjecture-explorer", params)
     rng = random.Random(seed)

@@ -146,10 +146,7 @@ def _power_iteration(
     while True:
         last = min(max_iter, first + LANCZOS_AFTER - 1)
         for it in range(first, last + 1):
-            y = list(x)  # the +I part
-            for u, v in epairs:
-                y[u] += x[v]
-                y[v] += x[u]
+            y = _shifted_product(epairs, x)
             if below is not None and min(x) > 0.0 and max(map(truediv, y, x)) - 1.0 < below:
                 return None
             rho = None
@@ -184,10 +181,7 @@ def _power_iteration(
         # from that vector when it is positive, else from x
         steps, z = _lanczos(epairs, x, tol, max_iter - last)
         if z is not None and min(z) >= 0.0 and (min(z) > 0.0 or not connected):
-            y = list(z)
-            for u, v in epairs:
-                y[u] += z[v]
-                y[v] += z[u]
+            y = _shifted_product(epairs, z)
             rho = _rayleigh(z, y)
             residual = max([abs(y[u] - rho * z[u]) for u in range(n)])
             if residual < tol:
@@ -202,6 +196,15 @@ def _power_iteration(
                 # z has max entry exactly 1.0; no rho of its own yet
                 x, top, rho_prev, kept = z, z.index(1.0), float("inf"), None
         first = last + steps + 1
+
+
+def _shifted_product(epairs, x: list[float]) -> list[float]:
+    """(A + I) x, the +I part first, then each edge in epairs' order."""
+    y = list(x)
+    for u, v in epairs:
+        y[u] += x[v]
+        y[v] += x[u]
+    return y
 
 
 def _rayleigh(x: list[float], y: list[float]) -> float:
@@ -236,7 +239,7 @@ def _lanczos(epairs, x: list[float], tol: float, budget: int) -> tuple[int, list
     q_prev = [0.0] * n
     beta = 0.0
     for k in range(1, budget + 1):
-        w = _lanczos_product(epairs, q, q_prev, beta)
+        w = [wu - beta * pu for wu, pu in zip(_shifted_product(epairs, q), q_prev)]
         alpha = 0.0
         for qu, wu in zip(q, w):
             alpha += qu * wu
@@ -265,21 +268,12 @@ def _lanczos(epairs, x: list[float], tol: float, budget: int) -> tuple[int, list
             z[u] += sj * q[u]
         if j + 1 == len(s):
             break
-        w = _lanczos_product(epairs, q, q_prev, beta)
+        w = [wu - beta * pu for wu, pu in zip(_shifted_product(epairs, q), q_prev)]
         alpha = alphas[j]
         beta = betas[j]
         q_prev, q = q, [(wu - alpha * qu) / beta for wu, qu in zip(w, q)]
     peak = max(z, key=abs)
     return k, [zu / peak for zu in z]
-
-
-def _lanczos_product(epairs, q: list[float], q_prev: list[float], beta: float) -> list[float]:
-    """(A + I) q - beta q_prev, the Lanczos step before its alpha."""
-    w = list(q)
-    for u, v in epairs:
-        w[u] += q[v]
-        w[v] += q[u]
-    return [wu - beta * pu for wu, pu in zip(w, q_prev)]
 
 
 def _top_ritz(alphas: list[float], betas: list[float]) -> tuple[float, list[float]]:

@@ -33,6 +33,7 @@ from factor_spectra.criticality import (
     low_degree_set,
     parity_deficiency,
     recheck_certificate,
+    route_params,
 )
 from factor_spectra.graphs import (
     Graph,
@@ -633,6 +634,25 @@ class TestCertificates:
                 {"kind": "bogus", "s_set": [], "t_set": [], "deficiency": 1}
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("deficiency", 1.9),
+            ("deficiency", "1"),
+            ("deficiency", True),
+            ("s_set", [False]),
+            ("t_set", [1.0, 2, 3]),
+            ("t_set", [True, 2, 3]),
+        ],
+    )
+    def test_non_int_entries_rejected(self, field, value):
+        # each tampered form compares or converts equal to the true
+        # certificate of K_{1,3}, deficiency 1 at S = {0}, T = {1, 2, 3}
+        cert = is_abk_critical(complete_bipartite(1, 3), P120)
+        assert cert.to_json() == {"kind": "integral", "s_set": [0], "t_set": [1, 2, 3], "deficiency": 1}
+        with pytest.raises(ValueError, match="is not an int"):
+            DeficiencyCertificate.from_json({**cert.to_json(), field: value})
+
 
 class TestDefinitionalRoute:
     def test_k5_integral(self):
@@ -669,3 +689,60 @@ class TestDefinitionalRoute:
                 assert got == critical_by_definition(g, params, mode), (g.adj, mode)
                 verdicts.add(got)
         assert verdicts == {True, False}
+
+
+# -- route checks ------------------------------------------------------------------
+
+INTEGRAL_NEEDS_B_GT_A = (
+    "integral characterization needs b > a; for a == b == r use the parity "
+    "route (is_rk_critical, or the rk verb)"
+)
+
+# shape -> (route, params, the error every route entry point raises)
+BAD_ROUTES = {
+    "unknown": ("bogus", P120, "unknown route 'bogus'"),
+    "integral b == a": ("integral", FactorParams(2, 2, 0), INTEGRAL_NEEDS_B_GT_A),
+    "parity a != b": ("parity", P120, "the parity route needs a == b == r, got a=1, b=2"),
+    "parity r < 2": ("parity", FactorParams(1, 1, 0), "parity characterization needs r >= 2, got r=1"),
+}
+
+ROUTE_ENTRY_POINTS = {
+    "certificate_at": lambda route, p: certificate_at(complete_graph(4), route, p, [0]),
+    "decide": lambda route, p: decide(complete_graph(4), route, p),
+    "critical_by_definition": lambda route, p: critical_by_definition(complete_graph(4), p, route),
+    "definition_oracle": lambda route, p: definition_oracle(p, route),
+}
+
+
+@pytest.mark.parametrize(
+    "shape, entry",
+    [
+        (shape, entry)
+        for shape in BAD_ROUTES
+        for entry in ROUTE_ENTRY_POINTS
+        # the definitional integral mode takes a == b (test_cycle_fractional_11)
+        if shape != "integral b == a" or entry in ("certificate_at", "decide")
+    ],
+)
+def test_bad_route_rejected_with_one_message(shape, entry):
+    route, params, message = BAD_ROUTES[shape]
+    with pytest.raises(ValueError) as info:
+        ROUTE_ENTRY_POINTS[entry](route, params)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "route, nums, message",
+    [
+        ("bogus", (1, 2, 0), "unknown route 'bogus'"),
+        ("integral", (2, 2, 0), INTEGRAL_NEEDS_B_GT_A),
+        ("parity", (1, 0), "parity characterization needs r >= 2, got r=1"),
+        # r is checked before FactorParams, which would complain about a
+        ("parity", (0, 0), "parity characterization needs r >= 2, got r=0"),
+        ("parity", (2, -1), "need k >= 0, got k=-1"),
+    ],
+)
+def test_route_params_rejects_bad_shapes(route, nums, message):
+    with pytest.raises(ValueError) as info:
+        route_params(route, *nums)
+    assert str(info.value) == message

@@ -48,7 +48,6 @@ from factor_spectra.harness import (
     cross_validate_deciders,
     explore_conjecture,
     maximality_min_n,
-    parity_spectral_min_n,
     perron_ratio_cubic,
     revalidate_counterexample,
     run_check,
@@ -76,9 +75,9 @@ def test_minimal_orders_frozen_values():
     # 2(b + a + k + 2)(b + k + 2)
     assert spectral_min_n(1, 2, 0) == 40
     assert spectral_min_n(2, 3, 1) == 96
-    # 2(2r + k + 2)(r + k + 2)
-    assert parity_spectral_min_n(2, 0) == 48
-    assert parity_spectral_min_n(2, 1) == 70
+    # at a = b = r: 2(2r + k + 2)(r + k + 2)
+    assert spectral_min_n(2, 2, 0) == 48
+    assert spectral_min_n(2, 2, 1) == 70
 
 
 def test_minimal_orders_satisfy_their_bounds():
@@ -342,7 +341,7 @@ def test_sharpness_all_targets_at_minimal_order():
     cases = [
         (1, 2, 0, spectral_min_n(1, 2, 0), "spectral-integral"),
         (1, 2, 0, spectral_min_n(1, 2, 0), "spectral-fractional"),
-        (2, 2, 0, parity_spectral_min_n(2, 0), "spectral-fractional-rr"),
+        (2, 2, 0, spectral_min_n(2, 2, 0), "spectral-fractional-rr"),
         (2, 2, 0, spectral_min_n(2, 2, 0), "spectral-fractional-general"),
     ]
     for a, b, k, n, target in cases:
@@ -687,6 +686,26 @@ def test_revalidate_explorer_kinds():
     assert not revalidate_counterexample(
         {"kind": "candidate-revalidation-failure", "r": 2, "k": 0, **cand}
     )
+
+
+@pytest.mark.parametrize("deficiency", [1.9, "1", True])
+def test_explorer_candidate_with_non_int_deficiency_does_not_stand(deficiency):
+    # K5 at (r, k) = (3, 0) has odd 3n, so X = Y = {} gives deficiency 1;
+    # each tampered form converts to 1 and so rechecked under int()
+    g = complete_graph(5)
+    cert = is_rk_critical(g, 3, 0)
+    assert cert.to_json() == {"kind": "parity", "s_set": [], "t_set": [], "deficiency": 1}
+    lam = spectral_radius(g).lam
+    cand = {
+        "graph": serialize_graph(g),
+        "lambda": lam,
+        "lambda_family": lam,
+        "certificate": cert.to_json(),
+    }
+    ce = {"kind": "explorer-candidates", "r": 3, "k": 0, "candidates": [cand]}
+    assert revalidate_counterexample(ce)
+    cand["certificate"] = {**cert.to_json(), "deficiency": deficiency}
+    assert revalidate_counterexample(ce) is False
 
 
 def test_revalidate_explorer_kinds_enforce_family_radius():
