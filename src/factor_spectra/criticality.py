@@ -94,6 +94,15 @@ class DeficiencyCertificate:
     t_set: tuple[int, ...]
     deficiency: int
 
+    def __post_init__(self):
+        # exact ints only: 1.0 and True compare equal to 1, so a recheck by
+        # == would accept them
+        if self.kind not in ROUTES:
+            raise ValueError(f"unknown certificate kind {self.kind!r}")
+        for value in (*self.s_set, *self.t_set, self.deficiency):
+            if type(value) is not int:
+                raise ValueError(f"certificate entry {value!r} is not an int")
+
     @property
     def violating(self) -> bool:
         return self.deficiency > 0
@@ -108,12 +117,7 @@ class DeficiencyCertificate:
 
     @staticmethod
     def from_json(d: dict) -> "DeficiencyCertificate":
-        if d["kind"] not in ROUTES:
-            raise ValueError(f"unknown certificate kind {d['kind']!r}")
         s_set, t_set = tuple(d["s_set"]), tuple(d["t_set"])
-        for value in (*s_set, *t_set, d["deficiency"]):
-            if type(value) is not int:
-                raise ValueError(f"certificate entry {value!r} is not an int")
         return DeficiencyCertificate(d["kind"], s_set, t_set, d["deficiency"])
 
 
@@ -162,7 +166,13 @@ def _check_route(route: str, a: int, b: int) -> None:
 def route_params(route: str, *nums: int) -> FactorParams:
     """FactorParams for a route: (a, b, k) for "integral" (b > a) and
     "fractional", (r, k) for "parity" (r >= 2) as FactorParams(r, r, k).
-    Raises ValueError for a shape the route cannot decide."""
+    Raises ValueError for an unknown route, a wrong count of numbers, or a
+    shape the route cannot decide."""
+    if route not in ROUTES:
+        raise ValueError(f"unknown route {route!r}")
+    shape = ("r", "k") if route == "parity" else ("a", "b", "k")
+    if len(nums) != len(shape):
+        raise ValueError(f"the {route} route takes ({', '.join(shape)}), got {len(nums)} numbers")
     if route == "parity":
         r, k = nums
         _check_route(route, r, r)  # before FactorParams, which would name r "a"

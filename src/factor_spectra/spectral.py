@@ -63,7 +63,7 @@ from .graphs import Graph
 TOL = 1e-10
 MAX_ITER = 100000
 # power steps before each handover to Lanczos of a call that has not stopped
-LANCZOS_AFTER = 700
+LANCZOS_AFTER = 400
 
 
 class ConvergenceError(RuntimeError):

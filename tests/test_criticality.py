@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from dataclasses import replace
 import random
 import tracemalloc
 
@@ -629,10 +630,12 @@ class TestCertificates:
         assert not recheck_certificate(complete_bipartite(1, 3), dropped, params=P120)
 
     def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown certificate kind 'bogus'"):
             DeficiencyCertificate.from_json(
                 {"kind": "bogus", "s_set": [], "t_set": [], "deficiency": 1}
             )
+        with pytest.raises(ValueError, match="unknown certificate kind 'bogus'"):
+            DeficiencyCertificate("bogus", (), (), 1)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -652,6 +655,11 @@ class TestCertificates:
         assert cert.to_json() == {"kind": "integral", "s_set": [0], "t_set": [1, 2, 3], "deficiency": 1}
         with pytest.raises(ValueError, match="is not an int"):
             DeficiencyCertificate.from_json({**cert.to_json(), field: value})
+        # built in Python, not read from JSON: recheck_certificate compares
+        # with ==, so such a certificate would recheck as True
+        tampered = value if field == "deficiency" else tuple(value)
+        with pytest.raises(ValueError, match="is not an int"):
+            replace(cert, **{field: tampered})
 
 
 class TestDefinitionalRoute:
@@ -740,6 +748,10 @@ def test_bad_route_rejected_with_one_message(shape, entry):
         # r is checked before FactorParams, which would complain about a
         ("parity", (0, 0), "parity characterization needs r >= 2, got r=0"),
         ("parity", (2, -1), "need k >= 0, got k=-1"),
+        # the route is checked before the count of numbers
+        ("bogus", (2, 0), "unknown route 'bogus'"),
+        ("parity", (2, 2, 0), "the parity route takes (r, k), got 3 numbers"),
+        ("integral", (1, 2), "the integral route takes (a, b, k), got 2 numbers"),
     ],
 )
 def test_route_params_rejects_bad_shapes(route, nums, message):

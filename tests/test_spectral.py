@@ -150,7 +150,7 @@ class TestSpectralRadius:
         for g in report_corpus():
             digest.update(repr(spectral_radius(g)).encode())
         assert digest.hexdigest() == (
-            "898e50a11ef7a981c5c5275650cd5a60acf0731c5a42797ff34ac98db39e9088"
+            "49feaedb771a639508bfd9d102937325bf1a85f225f4411dd24c0b03dc6fe9db"
         )
 
     def test_degree_bounds_property(self):
@@ -238,18 +238,23 @@ class TestScreen:
                 assert spectral_radius(g).lam < lam_f - 1e-9
 
     def test_bound_skipped_once_an_entry_underflows(self):
-        # the isolated vertex's entry decays as 1/(1 + lam)^t and reaches
-        # 0.0 at step 680, before the path converges; the bound needs x > 0.
-        # The test needs that step to come before the first handover to
-        # Lanczos, at LANCZOS_AFTER = 700, which keeps the 0.0 and reports
-        # within n steps.  A handover well before step 680 starts from an
-        # entry that Lanczos does not round to 0.0, and fails here
-        g = disjoint_union(path_graph(40), empty_graph(1))
+        # the Cartesian product P_40 x K_5 (40 copies of K_5 along a path)
+        # plus an isolated vertex, 201 vertices: the isolated entry decays as
+        # 1/(1 + lam)^t with lam near 6 and reaches 0.0 at step 383, before
+        # the rest converges; the bound needs x > 0.  The test needs that
+        # step to come before the first handover to Lanczos, at
+        # LANCZOS_AFTER = 400, which keeps the 0.0 and reports within n
+        # steps.  A handover well before step 383 starts from an entry that
+        # Lanczos does not round to 0.0, and fails here.  P_40 plus an
+        # isolated vertex would not do: its entry reaches 0.0 at step 680
+        edges = [(5 * i + j, 5 * i + h) for i in range(40) for j in range(5) for h in range(j)]
+        edges += [(5 * i + j, 5 * i + 5 + j) for i in range(39) for j in range(5)]
+        g = disjoint_union(Graph.from_edges(200, edges), empty_graph(1))
         report = spectral_radius(g)
         assert report.iterations <= spectral.LANCZOS_AFTER + g.n
         assert min(report.perron) == 0.0
         assert radius_unless_below(g, report.lam - 0.1) == report
-        assert radius_unless_below(g, 2.5) is None
+        assert radius_unless_below(g, report.lam + 0.5) is None
 
     def test_same_errors(self):
         with pytest.raises(ValueError):
@@ -357,8 +362,14 @@ class TestAgainstReferenceLoop:
     # the reference is the power loop alone, so the budget stops where the
     # first handover to Lanczos would begin; TestLanczosPhase covers the
     # handovers, repeated every LANCZOS_AFTER power steps, and the power
-    # steps resumed from each failed attempt's Ritz vector
-    MAX_ITER = spectral.LANCZOS_AFTER
+    # steps resumed from each failed attempt's Ritz vector.  The handover
+    # is moved to step 700 here so that the lazy stopping rule is compared
+    # over 700 power steps, not only the first LANCZOS_AFTER = 400
+    MAX_ITER = 700
+
+    @pytest.fixture(autouse=True)
+    def _handover_at_max_iter(self, monkeypatch):
+        monkeypatch.setattr(spectral, "LANCZOS_AFTER", self.MAX_ITER)
 
     @staticmethod
     def outcome(fn, g: Graph, tol: float, max_iter: int, below: float | None) -> str:
@@ -442,6 +453,17 @@ class TestLanczosPhase:
         assert radius_unless_below(g, report.lam - 0.5) == report
         assert radius_unless_below(g, report.lam + 0.5) is None
 
+    def test_benchmark_path_range_reports_after_one_handover(self):
+        # every path the corpus and the sparse benchmark send, 23 <= n <= 62,
+        # is past the power loop's reach at LANCZOS_AFTER and is reported by
+        # the first Lanczos attempt within a few steps
+        for n in range(23, 63):
+            g = relabelled(random.Random(n), n, [(i, i + 1) for i in range(n - 1)])
+            report = spectral_radius(g)
+            assert report.iterations <= 410, (n, report.iterations)
+            assert abs(report.lam - 2 * math.cos(math.pi / (n + 1))) <= 1e-12
+            self.assert_contract(g, report)
+
     def test_twin_hub_caterpillar(self):
         # inputs.twin_hub_caterpillar() of the benchmark: two 5-leg hubs at
         # the ends of a 16-vertex spine and one leg on spine vertex 7, which
@@ -467,7 +489,7 @@ class TestLanczosPhase:
 
     def test_corpus_reports_past_the_handover(self):
         # backs the digest of TestSpectralRadius.test_reports_pinned where
-        # it depends on the Lanczos phase: P_30 to P_40 end there
+        # it depends on the Lanczos phase: P_23 to P_40 end there
         switched = 0
         for g in report_corpus():
             report = spectral_radius(g)
@@ -475,7 +497,7 @@ class TestLanczosPhase:
                 assert abs(report.lam - numpy_radius(g)) <= 1e-12
                 self.assert_contract(g, report)
                 switched += 1
-        assert switched >= 11
+        assert switched >= 18
 
     def test_trees_and_caterpillars_against_numpy(self):
         rng = random.Random(24)
