@@ -353,45 +353,35 @@ def _pair_sweep(g: Graph, r: int, k: int) -> DeficiencyCertificate | None:
     * A whole |Y| = l slice is skipped when the sum of the l smallest
       d_{G-X}(v) - r, less |R|, already clears the bound, or for even r
       when r(|X| - k) - rl does; a single Y is skipped, before h is
-      counted, on its own degree sum less |R|.  A whole X is skipped
-      when the lowest slice bound over all l clears, and the sweep ends
-      once |X| alone makes that certain.
+      counted, on its own degree sum less |R|.  The sweep ends once |X|
+      alone makes every slice bound clear.
+
+    is_rk_critical calls it only on graphs it has refuted; tests also use
+    it as the reference decider on critical graphs, where the size bound
+    ends the sweep early.
     """
     params = FactorParams(r, r, k)
     adj = g.adj
     n = g.n
     # a violating surplus is negative and congruent to r(n - k) (mod 2)
     slack = 2 if r * (n - k) % 2 == 0 else 1
-    # risky[s]: the vertices that can be short (d_{G-X}(v) < r - 1) once
-    # s vertices are deleted, since d_{G-X}(v) >= d_G(v) - |X|; v joins at
-    # s = d_G(v) - r + 2 <= n - 1 and stays, so one pass fills it
-    risky = [0] * (n + 1)
-    for v, d in enumerate(g.degrees()):
-        risky[max(d - r + 2, 0)] |= 1 << v
-    for s in range(n):
-        risky[s + 1] |= risky[s]
     singletons = [1 << v for v in range(n)]
     for x_size in range(k, n + 1):
         base = r * (x_size - k)
         # `low` is the slice bound with h <= |R|, R = rest minus Y.  Over l
-        # it falls by r - 1 - d_{G-X}(v) <= r - 1 at each short vertex, then
-        # rises, so X is clean once its lowest value clears.  Counting every
-        # rest vertex as short ends the sweep (the bound grows with |X|);
-        # counting the risky ones skips X before any degree is read.
+        # it falls by r - 1 - d_{G-X}(v) <= r - 1 at each short vertex
+        # (d_{G-X}(v) < r - 1), then rises; counting every rest vertex as
+        # short gives a floor for every X of this size, which grows with
+        # |X|, so once it clears the sweep ends.
         size_low = base - (n - x_size)
         if size_low - (r - 1) * (n - x_size) > -slack:
             break
         for combo in itertools.combinations(singletons, x_size):
             x_mask = sum(combo)
             low = size_low
-            if low - (r - 1) * (risky[x_size] & ~x_mask).bit_count() > -slack:
-                continue
             keep = ~x_mask
             deg = [(row & keep).bit_count() for row in adj]
             rest = [v for v in range(n) if not x_mask >> v & 1]
-            short = [deg[v] for v in rest if deg[v] < r - 1]
-            if low + sum(short) - (r - 1) * len(short) > -slack:
-                continue
             margins = sorted(deg[v] - r for v in rest)
             for l in range(len(rest) + 1):
                 if l:

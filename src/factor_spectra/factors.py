@@ -183,16 +183,6 @@ def find_ab_factor(g: Graph, a: int, b: int) -> FactorWitness | None:
 
 # -- fractional oracle via max-flow -------------------------------------------
 
-# Fraction(h, 2) for the half-unit counts h of graphs with degrees below
-# 32, so that witnesses share these objects instead of normalizing a new
-# Fraction per weight and per degree.
-_HALVES = tuple(Fraction(h, 2) for h in range(64))
-
-
-def _from_halves(h: int) -> Fraction:
-    return _HALVES[h] if h < len(_HALVES) else Fraction(h, 2)
-
-
 def _max_flow(head: list[list[int]], to: list[int], cap: list[int], s: int, t: int) -> int:
     """Dinic's max-flow from s to t on integer capacities, updating the
     residual capacities `cap` in place; arc i runs to to[i], its reverse
@@ -305,14 +295,14 @@ def find_fractional_factor(g: Graph, a: int, b: int) -> FactorWitness | None:
         i = first + 4 * e
         used = 2 - cap[i] - cap[i + 2]  # residual -> used units
         if used:
-            weights.append((u, v, _HALVES[used]))
+            weights.append((u, v, Fraction(used, 2)))
             deg[u] += used
             deg[v] += used
     witness = FactorWitness(
         kind="fractional",
         edges=None,
         weights=tuple(weights),
-        degrees=tuple(map(_from_halves, deg)),
+        degrees=tuple(Fraction(h, 2) for h in deg),
     )
     validate_witness(g, witness, a, b)
     return witness

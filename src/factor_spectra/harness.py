@@ -850,13 +850,6 @@ def explore_conjecture(r: int, k: int, n: int, budget: int, seed: int = 0) -> Ch
     }
     candidates: list[dict] = []
 
-    # (r, k)-criticality is an isomorphism invariant, so a graph
-    # isomorphic to one already found critical is critical without a
-    # sweep.  Refutations are not reused: each candidate carries its own
-    # labelled certificate.  Graphs are kept by sorted degree sequence,
-    # which `isomorphic` would compare first anyway.
-    critical: dict[tuple[int, ...], list[Graph]] = {}
-
     def spend() -> None:
         if state["evals"] >= budget:
             raise _BudgetExhausted
@@ -867,17 +860,12 @@ def explore_conjecture(r: int, k: int, n: int, budget: int, seed: int = 0) -> Ch
         if lam < lam_f - STRICT_MARGIN:
             return
         stats["qualifying"] += 1
-        if g.edge_count == distinguished.edge_count and isomorphic(g, distinguished):
+        if isomorphic(g, distinguished):
             stats["isomorphic_excluded"] += 1
-            return
-        swept = critical.setdefault(tuple(sorted(g.degrees())), [])
-        if any(isomorphic(g, h) for h in swept):
-            stats["critical_qualifying"] += 1
             return
         cert = is_rk_critical(g, r, k)
         if cert is None:
             stats["critical_qualifying"] += 1
-            swept.append(g)
             return
         candidates.append(
             {

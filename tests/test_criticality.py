@@ -43,6 +43,7 @@ from factor_spectra.graphs import (
     complete_graph,
     cycle_graph,
     enumerate_graphs,
+    isomorphic,
     path_graph,
 )
 from factor_spectra.factors import find_r_factor
@@ -515,27 +516,40 @@ class TestParityDecider:
         # graphs explore_conjecture(2, 0, 12, 1500, s) decides for s = 0-2,
         # then 40 seeded dense random graphs at (2, 0) and (2, 1)
         sent = []
+        repeats = set()  # isomorphic to a graph found critical earlier in its run
         decide = harness.is_rk_critical
 
         def recording(g, r, k):
+            earlier = [h for h, _, _, cert in sent[run_start:] if cert is None]
+            if any(isomorphic(g, h) for h in earlier):
+                repeats.add(len(sent))
             sent.append((g, r, k, decide(g, r, k)))
             return sent[-1][-1]
 
         monkeypatch.setattr(harness, "is_rk_critical", recording)
         for seed in range(3):
+            run_start = len(sent)
             harness.explore_conjecture(2, 0, 12, 1500, seed)
         monkeypatch.undo()
         rng = random.Random(2027)
         for _ in range(40):
             g = random_graph(12, rng.choice([0.6, 0.75, 0.9]), rng)
             sent += [(g, r, k, is_rk_critical(g, r, k)) for r, k in ((2, 0), (2, 1))]
-        digest = hashlib.sha256()
-        for g, r, k, cert in sent:
-            digest.update(json.dumps([g.adj, r, k, None if cert is None else cert.to_json()]).encode())
-        assert len(sent) == 165
-        assert digest.hexdigest() == (
-            "b4e7a520754f31eb53146829842d352eff9ac6bf2ef0133003460dbe2605ef01"
-        )
+
+        def digest(entries):
+            d = hashlib.sha256()
+            for g, r, k, cert in entries:
+                d.update(json.dumps([g.adj, r, k, None if cert is None else cert.to_json()]).encode())
+            return d.hexdigest()
+
+        assert len(sent) == 234
+        assert digest(sent) == "dd63e8783312180da1a6a70a4efb647a7430ef2846d3fe11f357956275c69f01"
+        # the explorer once reused the verdict of each repeat; every repeat
+        # is critical, and the other 165 entries keep their earlier digest
+        assert len(repeats) == 69
+        assert all(sent[i][3] is None for i in repeats)
+        kept = [entry for i, entry in enumerate(sent) if i not in repeats]
+        assert digest(kept) == "b4e7a520754f31eb53146829842d352eff9ac6bf2ef0133003460dbe2605ef01"
 
     def test_bounds_skip_complete_graph_sweep(self, monkeypatch):
         # K12 is (2, 0)-critical; the parity lemma and the edge cap on h
@@ -571,6 +585,36 @@ class TestParityDecider:
                 assert (criticality._pair_sweep(g, r, k) is None) == factored
                 verdicts.add(factored)
         assert verdicts == {True, False}
+
+    def test_is_rk_critical_sweeps_only_refutable_graphs(self, monkeypatch):
+        # the sweep keeps no shortcut for critical graphs, since
+        # is_rk_critical settles those on witnesses: every sweep it starts
+        # must end on a violating pair
+        sweeps = []
+        sweep = criticality._pair_sweep
+
+        def recording(g, r, k):
+            sweeps.append((g, r, k, sweep(g, r, k)))
+            return sweeps[-1][-1]
+
+        monkeypatch.setattr(criticality, "_pair_sweep", recording)
+        for n in range(3, 7):
+            for g in enumerate_graphs(n, connected_only=True):
+                for r, k in ((2, 0), (2, 1)):
+                    if n >= r + k + 1:
+                        is_rk_critical(g, r, k)
+        rng = random.Random(2026)  # the corpus of test_verdicts_pinned
+        for _ in range(300):
+            n = rng.randint(5, 11)
+            g = random_graph(n, rng.choice([0.4, 0.6, 0.8, 0.95]), rng)
+            for r, k in ((2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (4, 0)):
+                if n >= r + k + 1:
+                    is_rk_critical(g, r, k)
+        for seed in range(3):
+            harness.explore_conjecture(2, 0, 12, 1500, seed)
+        assert sweeps
+        for g, r, k, cert in sweeps:
+            assert cert is not None and cert.violating, (g.adj, r, k)
 
     def test_definition_needs_no_r_factor_oracle(self, monkeypatch):
         # criteria 06-08 compare is_rk_critical with critical_by_definition,

@@ -27,7 +27,6 @@ from factor_spectra.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
-    isomorphic,
     path_graph,
 )
 from factor_spectra.harness import (
@@ -448,20 +447,6 @@ def _count_calls(monkeypatch, module, name: str, calls: list, replacement=None):
         return (replacement or original)(g, *args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
-
-
-def test_explorer_reuses_critical_verdicts(monkeypatch):
-    # a screened graph isomorphic to one already swept and found critical
-    # is counted critical without a sweep; the output does not move
-    swept: list = []
-    _count_calls(monkeypatch, harness, "is_rk_critical", swept)
-    r = explore_conjecture(2, 0, 12, 1500, 0)
-    assert _digest(r) == EXPLORER_DIGESTS[0]
-    m = r.metrics
-    assert m["candidates"] == 0
-    assert len(swept) < m["qualifying"] - m["isomorphic_excluded"]
-    # no two swept graphs are isomorphic
-    assert not any(isomorphic(g, h) for i, g in enumerate(swept) for h in swept[:i])
 
 
 def test_explorer_decides_without_backtracking(monkeypatch):
