@@ -169,8 +169,8 @@ def _radius(graph: dict) -> float:
 # -- individual checks ----------------------------------------------------------
 
 
-def _outside_interval(lam: float, lower: float, upper: float, margin: float) -> bool:
-    return not (lower + margin < lam < upper - margin)
+def _outside_interval(lam: float, lower: float, upper: float) -> bool:
+    return not (lower + BRACKET_MARGIN < lam < upper - BRACKET_MARGIN)
 
 
 def _family_guard(a: int, b: int, k: int) -> None:
@@ -202,7 +202,7 @@ def check_family_radius_bracket(a: int, b: int, k: int, n: int) -> CheckResult:
         lam_min = min(lam_min, lam)
         lam_max = max(lam_max, lam)
         count += 1
-        if _outside_interval(lam, lo, hi, BRACKET_MARGIN):
+        if _outside_interval(lam, lo, hi):
             return result(
                 "fail",
                 {"members_checked": count, "lambda": lam, "lower": lo, "upper": hi},
@@ -211,7 +211,6 @@ def check_family_radius_bracket(a: int, b: int, k: int, n: int) -> CheckResult:
                     "graph": serialize_graph(g),
                     "lower": lo,
                     "upper": hi,
-                    "margin": BRACKET_MARGIN,
                     "lambda": lam,
                 },
                 notes=scope,
@@ -229,8 +228,8 @@ def check_family_radius_bracket(a: int, b: int, k: int, n: int) -> CheckResult:
     )
 
 
-def _not_dominated(lam: float, lam_rival: float, margin: float) -> bool:
-    return lam_rival >= lam - margin
+def _not_dominated(lam: float, lam_rival: float) -> bool:
+    return lam_rival >= lam - STRICT_MARGIN
 
 
 def check_family_maximality(a: int, b: int, k: int, n: int) -> CheckResult:
@@ -257,7 +256,7 @@ def check_family_maximality(a: int, b: int, k: int, n: int) -> CheckResult:
     for g in reps[1:]:
         lam = spectral_radius(g).lam
         best_rival = max(best_rival, lam)
-        if _not_dominated(lam_f, lam, STRICT_MARGIN):
+        if _not_dominated(lam_f, lam):
             return result(
                 "fail",
                 {
@@ -269,7 +268,6 @@ def check_family_maximality(a: int, b: int, k: int, n: int) -> CheckResult:
                     "kind": "spectral-not-dominated",
                     "graph": serialize_graph(distinguished),
                     "rival": serialize_graph(g),
-                    "margin": STRICT_MARGIN,
                 },
             )
     return result(
@@ -422,10 +420,10 @@ def _perron_metrics(g: Graph, a: int, b: int, k: int, n: int) -> dict:
     }
 
 
-def _perron_off(metrics: dict, residual_tol: float, ratio_tol: float) -> bool:
+def _perron_off(metrics: dict) -> bool:
     return (
-        any(metrics[f"residual_{c}"] >= residual_tol for c in ("t1", "t2", "w1", "wa"))
-        or metrics["ratio_relative_error"] >= ratio_tol
+        any(metrics[f"residual_{c}"] >= RESIDUAL_TOL for c in ("t1", "t2", "w1", "wa"))
+        or metrics["ratio_relative_error"] >= RATIO_TOL
         or not metrics["cubic_value"] > 0.0
     )
 
@@ -459,7 +457,7 @@ def check_perron_system(a: int, b: int, k: int, n: int) -> CheckResult:
         raise ValueError("the untouched clique class is empty at this order")
     g = extremal_graph(fp)
     metrics = _perron_metrics(g, a, b, k, n)
-    if _perron_off(metrics, RESIDUAL_TOL, RATIO_TOL):
+    if _perron_off(metrics):
         return result(
             "fail",
             metrics,
@@ -470,8 +468,6 @@ def check_perron_system(a: int, b: int, k: int, n: int) -> CheckResult:
                 "b": b,
                 "k": k,
                 "n": n,
-                "residual_tol": RESIDUAL_TOL,
-                "ratio_tol": RATIO_TOL,
             },
         )
     return result("pass", metrics)
@@ -678,8 +674,8 @@ def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
     )
 
 
-def _not_lowered(lam: float, lam_sub: float, margin: float) -> bool:
-    return lam_sub >= lam - margin
+def _not_lowered(lam: float, lam_sub: float) -> bool:
+    return lam_sub >= lam - PROPERTY_MARGIN
 
 
 def _monotonicity_step(rng: random.Random, g: Graph) -> tuple | None:
@@ -699,7 +695,7 @@ def _monotonicity_step(rng: random.Random, g: Graph) -> tuple | None:
         return None
     lam = spectral_radius(g).lam
     lam_sub = spectral_radius(sub).lam
-    violated = _not_lowered(lam, lam_sub, PROPERTY_MARGIN)
+    violated = _not_lowered(lam, lam_sub)
     return lam - lam_sub, violated, {"removed": [list(e) for e in removed]}
 
 
@@ -709,8 +705,8 @@ def _rotate(g: Graph, u: int, v: int, moved) -> Graph:
     return g
 
 
-def _not_raised(lam: float, lam_rot: float, margin: float) -> bool:
-    return lam_rot <= lam + margin
+def _not_raised(lam: float, lam_rot: float) -> bool:
+    return lam_rot <= lam + PROPERTY_MARGIN
 
 
 def _rotation_step(rng: random.Random, g: Graph) -> tuple | None:
@@ -724,7 +720,7 @@ def _rotation_step(rng: random.Random, g: Graph) -> tuple | None:
         return None
     chosen = rng.sample(movable, rng.randint(1, len(movable)))
     lam_rot = spectral_radius(_rotate(g, u, v, chosen)).lam
-    violated = _not_raised(report.lam, lam_rot, PROPERTY_MARGIN)
+    violated = _not_raised(report.lam, lam_rot)
     return lam_rot - report.lam, violated, {"u": u, "v": v, "moved": chosen}
 
 
@@ -757,7 +753,7 @@ def _perturbation_suite(check_id: str, count: int, seed: int) -> CheckResult:
         built += 1
         least = min(least, value)
         if violated:
-            ce = {"kind": kind, "graph": serialize_graph(g), **fields, "margin": PROPERTY_MARGIN}
+            ce = {"kind": kind, "graph": serialize_graph(g), **fields}
             return result("fail", {"instances": built, metric: least}, counterexample=ce)
     return result("pass", {"instances": built, metric: least})
 
@@ -964,7 +960,7 @@ def _monotonicity_evidence(ce: dict) -> tuple:
     sub = g
     for u, v in ce["removed"]:
         sub = sub.without_edge(u, v)
-    return spectral_radius(g).lam, spectral_radius(sub).lam, ce["margin"]
+    return spectral_radius(g).lam, spectral_radius(sub).lam
 
 
 def _rotation_evidence(ce: dict) -> tuple:
@@ -977,21 +973,23 @@ def _rotation_evidence(ce: dict) -> tuple:
     report = spectral_radius(g)
     u, v, moved = ce["u"], ce["v"], ce["moved"]
     if not (0 <= u < g.n and 0 <= v < g.n and u != v and report.perron[u] >= report.perron[v]):
-        return report.lam, math.inf, ce["margin"]
-    return report.lam, spectral_radius(_rotate(g, u, v, moved)).lam, ce["margin"]
+        return report.lam, math.inf
+    return report.lam, spectral_radius(_rotate(g, u, v, moved)).lam
 
 
 # kind -> (predicate, evidence).  The check that raises a kind decides
 # "fail" by calling its predicate on values it computed itself;
 # evidence recomputes the same values from the serialized counterexample.
+# Tolerances are the module's constants, read by the predicates, never
+# fields of the counterexample, which could forge them.
 _COUNTEREXAMPLES: dict[str, tuple[Callable[..., bool], Callable[[dict], tuple]]] = {
     "spectral-out-of-interval": (
         _outside_interval,
-        lambda ce: (_radius(ce["graph"]), ce["lower"], ce["upper"], ce["margin"]),
+        lambda ce: (_radius(ce["graph"]), ce["lower"], ce["upper"]),
     ),
     "spectral-not-dominated": (
         _not_dominated,
-        lambda ce: (_radius(ce["graph"]), _radius(ce["rival"]), ce["margin"]),
+        lambda ce: (_radius(ce["graph"]), _radius(ce["rival"])),
     ),
     "edge-count-mismatch": (
         _edge_count_off,
@@ -1013,8 +1011,6 @@ _COUNTEREXAMPLES: dict[str, tuple[Callable[..., bool], Callable[[dict], tuple]]]
         _perron_off,
         lambda ce: (
             _perron_metrics(deserialize_graph(ce["graph"]), ce["a"], ce["b"], ce["k"], ce["n"]),
-            ce["residual_tol"],
-            ce["ratio_tol"],
         ),
     ),
     "decider-disagreement": (

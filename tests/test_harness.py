@@ -532,7 +532,6 @@ def test_revalidate_interval_kind():
         "graph": serialize_graph(cycle_graph(5)),
         "lower": 3.0,
         "upper": 4.0,
-        "margin": 1e-8,
         "lambda": 2.0,
     }
     assert revalidate_counterexample(ce)
@@ -545,7 +544,6 @@ def test_revalidate_domination_kind():
         "kind": "spectral-not-dominated",
         "graph": serialize_graph(complete_graph(4)),
         "rival": serialize_graph(complete_graph(5)),
-        "margin": 1e-9,
     }
     assert revalidate_counterexample(ce)
     ce["rival"] = serialize_graph(path_graph(4))
@@ -607,7 +605,6 @@ def test_revalidate_monotonicity_kind():
         "kind": "monotonicity-violation",
         "graph": serialize_graph(cycle_graph(5)),
         "removed": [],
-        "margin": 1e-10,
     }
     # removing nothing leaves the radius equal, which does violate strictness
     assert revalidate_counterexample(ce)
@@ -632,7 +629,6 @@ def test_revalidate_rotation_kind():
         "u": 0,
         "v": 2,
         "moved": [3],
-        "margin": 1e-10,
     }
     assert not revalidate_counterexample(ce)
     # ill-formed instance (moved vertex already adjacent to u) is rejected
@@ -757,13 +753,55 @@ def test_revalidate_perron_kind():
         "b": b,
         "k": k,
         "n": n,
-        "residual_tol": 1e-7,
-        "ratio_tol": 1e-6,
     }
     assert not revalidate_counterexample(ce)
     # K_n has a constant Perron vector, which breaks the first identity
     ce["graph"] = serialize_graph(complete_graph(n))
     assert revalidate_counterexample(ce)
+
+
+def test_revalidation_ignores_tolerances_written_into_the_counterexample():
+    # each healthy instance stays healthy whatever tolerance its JSON
+    # claims: the check's own constants decide, as they did when it ran
+    a, b, k = 2, 3, 0
+    n = bracket_min_n(a, b, k)
+    forged = [
+        {
+            "kind": "spectral-out-of-interval",
+            "graph": serialize_graph(cycle_graph(5)),
+            "lower": 1.5,
+            "upper": 2.5,
+            "lambda": 2.0,
+            "margin": 10,
+        },
+        {
+            "kind": "spectral-not-dominated",
+            "graph": serialize_graph(complete_graph(4)),
+            "rival": serialize_graph(path_graph(4)),
+            "margin": 10,
+        },
+        {
+            "kind": "perron-system-residual",
+            "graph": serialize_graph(extremal_graph(ExtremalParams(a, b, k, n))),
+            **{"a": a, "b": b, "k": k, "n": n},
+            "residual_tol": 0,
+            "ratio_tol": 0,
+        },
+        {
+            "kind": "monotonicity-violation",
+            "graph": serialize_graph(cycle_graph(5)),
+            "removed": [[0, 1]],
+            "margin": 10,
+        },
+        {
+            "kind": "rotation-violation",
+            "graph": serialize_graph(cycle_graph(5)),
+            **{"u": 0, "v": 2, "moved": [3]},
+            "margin": 10,
+        },
+    ]
+    for ce in forged:
+        assert revalidate_counterexample(ce) is False, ce["kind"]
 
 
 def test_revalidate_unknown_kind():
