@@ -34,10 +34,10 @@ Facts covered:
   sqrt(2e - n*delta + (delta+1)^2/4) with equality exactly on regular
   and {delta, n-1}-bidegreed graphs, plus monotonicity of the bound
   curve in the minimum-degree argument.
-* sharpness targets: at the minimal order each of the four spectral
-  guarantees allows, the extremal graph meets every hypothesis with
-  equality and still fails to be critical, so the excluded-graph clause
-  is non-vacuous.
+* spectral sharpness: at the order bound of the spectral criticality
+  conditions, on the integral and the fractional route, the extremal
+  graph meets every hypothesis with equality and still fails to be
+  critical, so the excluded-graph clause is non-vacuous.
 * spectral perturbation suites: deleting edges strictly lowers the
   radius; rotating edges toward a vertex with the larger Perron entry
   strictly raises it.
@@ -150,16 +150,6 @@ def spectral_min_n(a: int, b: int, k: int) -> int:
     """The order bound 2(b + a + k + 2)(b + k + 2) of the spectral
     criticality conditions."""
     return 2 * (b + a + k + 2) * (b + k + 2)
-
-
-# target -> (a, b, k, n): the battery runs each sharpness target at its order bound
-_SHARPNESS_INSTANCES = {
-    "spectral-integral": (1, 2, 0, spectral_min_n(1, 2, 0)),
-    "spectral-fractional": (1, 2, 0, spectral_min_n(1, 2, 0)),
-    "spectral-fractional-rr": (2, 2, 0, spectral_min_n(2, 2, 0)),
-    "spectral-fractional-general": (2, 2, 0, spectral_min_n(2, 2, 0)),
-}
-SHARPNESS_TARGETS = tuple(_SHARPNESS_INSTANCES)
 
 
 def _radius(graph: dict) -> float:
@@ -628,37 +618,26 @@ def check_hong_bound(n_max: int, curve_points: int = 100) -> CheckResult:
     )
 
 
-def check_sharpness(a: int, b: int, k: int, n: int, target: str) -> CheckResult:
-    """At the stated order bound of each spectral criticality condition,
-    the distinguished member meets every hypothesis (connected, minimum
+def check_sharpness(a: int, b: int, k: int, n: int, route: str) -> CheckResult:
+    """At the stated order bound of the spectral criticality condition on
+    `route` ("integral", b > a, or "fractional", b >= a), the
+    distinguished member meets every hypothesis (connected, minimum
     degree exactly a+k, radius trivially at the threshold) and still is
     not critical, so the excluded-graph clause is non-vacuous.  The size
-    condition's sharpness is check_edge_count_sharpness.  Targets:
-
-      spectral-integral           radius condition, [a,b]-factor route, b > a
-      spectral-fractional         radius condition, fractional route, b > a
-      spectral-fractional-rr      radius condition, fractional, a = b = r
-      spectral-fractional-general radius condition, fractional, b >= a
+    condition's sharpness is check_edge_count_sharpness.
 
     The non-criticality witness is the joined clique block with
     deficiency exactly 1, re-checked from the deficiency definition."""
-    if target not in SHARPNESS_TARGETS:
-        raise ValueError(f"unknown sharpness target {target!r}")
-    kind = "integral" if target == "spectral-integral" else "fractional"
-    fparams = route_params(kind, a, b, k)
-    if target == "spectral-fractional" and b <= a:
-        raise ValueError(f"target {target} needs b > a, got a={a}, b={b}")
-    if target == "spectral-fractional-rr" and a != b:
-        raise ValueError(f"target {target} needs a == b, got a={a}, b={b}")
+    fparams = route_params(route, a, b, k)
     need = spectral_min_n(a, b, k)
-    params = {"a": a, "b": b, "k": k, "n": n, "target": target}
+    params = {"a": a, "b": b, "k": k, "n": n, "route": route}
     result = partial(CheckResult, "sharpness", params)
     if n < need:
-        return _not_met(result, need, f"target {target}")
+        return _not_met(result, need, f"{route} sharpness claim")
     fp = ExtremalParams(a, b, k, n)
     g = extremal_graph(fp)
     metrics: dict = {"min_n": need, "delta": g.min_degree()}
-    failure, cert = _sharpness_core(result, g, kind, fparams, metrics)
+    failure, cert = _sharpness_core(result, g, route, fparams, metrics)
     if failure:
         return failure
     metrics["block_deficiency"] = cert.deficiency
@@ -1114,8 +1093,11 @@ def battery_plan(level: str = "quick", seed: int = 0) -> list[tuple[str, dict]]:
         ("decider-cross-validation", {"n_max": cross_n, "param_grid": cross_items})
     )
     plan.append(("hong-bound", {"n_max": hong_n}))
-    for target, (a, b, kk, n) in _SHARPNESS_INSTANCES.items():
-        plan.append(("sharpness", {"a": a, "b": b, "k": kk, "n": n, "target": target}))
+    # each route at its order bound; the fractional route at a == b, the
+    # integral one needs b > a
+    for route, a, b in (("integral", 1, 2), ("fractional", 2, 2)):
+        n = spectral_min_n(a, b, 0)
+        plan.append(("sharpness", {"a": a, "b": b, "k": 0, "n": n, "route": route}))
     plan.append(("subgraph-monotonicity", {"count": prop_count, "seed": seed}))
     plan.append(("edge-rotation", {"count": prop_count, "seed": seed + 1}))
     plan.append(("conjecture-explorer", explorer))

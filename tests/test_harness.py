@@ -32,7 +32,6 @@ from factor_spectra.graphs import (
 from factor_spectra.harness import (
     _CHECK_FUNCTIONS,
     _COUNTEREXAMPLES,
-    SHARPNESS_TARGETS,
     CheckResult,
     battery_plan,
     bracket_min_n,
@@ -333,25 +332,26 @@ def test_hong_guards():
         check_hong_bound(4, curve_points=1)
 
 
-# -- sharpness targets -------------------------------------------------------------
+# -- spectral sharpness ------------------------------------------------------------
 
 
 def test_sharpness_all_targets_at_minimal_order():
+    # each route at a == b where it allows it, and at b > a
     cases = [
-        (1, 2, 0, spectral_min_n(1, 2, 0), "spectral-integral"),
-        (1, 2, 0, spectral_min_n(1, 2, 0), "spectral-fractional"),
-        (2, 2, 0, spectral_min_n(2, 2, 0), "spectral-fractional-rr"),
-        (2, 2, 0, spectral_min_n(2, 2, 0), "spectral-fractional-general"),
+        (1, 2, 0, "integral"),
+        (1, 2, 0, "fractional"),
+        (2, 2, 0, "fractional"),
+        (2, 3, 1, "integral"),
     ]
-    for a, b, k, n, target in cases:
-        r = check_sharpness(a, b, k, n, target)
-        assert r.status == "pass", (target, r.notes)
+    for a, b, k, route in cases:
+        r = check_sharpness(a, b, k, spectral_min_n(a, b, k), route)
+        assert r.status == "pass", (route, r.notes)
         assert r.metrics["delta"] == a + k
         assert r.metrics["block_deficiency"] == 1
 
 
 def test_sharpness_reports_lambda_past_n_200():
-    r = check_sharpness(1, 2, 0, 201, "spectral-integral")
+    r = check_sharpness(1, 2, 0, 201, "integral")
     assert r.status == "pass"
     assert 201 - 2 - 2 < r.metrics["lambda"] < 201 - 2 - 1
     assert r.notes.startswith("fixed-certificate route;")
@@ -359,18 +359,21 @@ def test_sharpness_reports_lambda_past_n_200():
 
 def test_sharpness_has_no_size_target():
     # the size condition's sharpness is check_edge_count_sharpness alone
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown route"):
         check_sharpness(1, 2, 0, 16, "size-integral")
 
 
 def test_sharpness_guards():
-    assert check_sharpness(1, 2, 0, 39, "spectral-integral").status == "hypothesis_not_met"
-    with pytest.raises(ValueError):
-        check_sharpness(1, 2, 0, 40, "no-such-target")
-    with pytest.raises(ValueError):
-        check_sharpness(2, 2, 0, 48, "spectral-integral")
-    with pytest.raises(ValueError):
-        check_sharpness(2, 3, 0, 60, "spectral-fractional-rr")
+    # route_params rejects every shape the route cannot decide
+    assert check_sharpness(1, 2, 0, 39, "integral").status == "hypothesis_not_met"
+    with pytest.raises(ValueError, match="unknown route"):
+        check_sharpness(1, 2, 0, 40, "spectral-integral")
+    with pytest.raises(ValueError, match="needs b > a"):
+        check_sharpness(2, 2, 0, 48, "integral")
+    with pytest.raises(ValueError, match="takes"):
+        check_sharpness(2, 2, 0, 48, "parity")
+    with pytest.raises(ValueError, match="need b >= a"):
+        check_sharpness(3, 2, 0, 60, "fractional")
 
 
 # -- property suites ---------------------------------------------------------------
@@ -828,8 +831,9 @@ def test_battery_plan_names_are_runnable():
 def test_full_battery_runs_every_check_and_target():
     plan = battery_plan("full", seed=0)
     assert {name for name, _ in plan} == set(_CHECK_FUNCTIONS)
-    targets = {kw["target"] for name, kw in plan if name == "sharpness"}
-    assert targets == set(SHARPNESS_TARGETS)
+    # one sharpness instance per route the spectral condition covers
+    routes = [kw["route"] for name, kw in plan if name == "sharpness"]
+    assert routes == ["integral", "fractional"]
 
 
 def test_run_check_dispatch():
@@ -884,8 +888,8 @@ FAIL_PATHS = [
     ("_edge_count_off", lambda: check_edge_count_sharpness(1, 2, 0, 16), "edge-count-mismatch"),
     ("_certificate_off", lambda: check_edge_count_sharpness(1, 2, 0, 16), "certificate-mismatch"),
     ("_certificate_off", lambda: check_edge_count_sharpness(2, 3, 1, 30), "certificate-mismatch"),
-    ("_shape_off", lambda: check_sharpness(1, 2, 0, 40, "spectral-integral"), "hypothesis-shape-mismatch"),
-    ("_certificate_off", lambda: check_sharpness(1, 2, 0, 40, "spectral-fractional"), "certificate-mismatch"),
+    ("_shape_off", lambda: check_sharpness(1, 2, 0, 40, "integral"), "hypothesis-shape-mismatch"),
+    ("_certificate_off", lambda: check_sharpness(1, 2, 0, 40, "fractional"), "certificate-mismatch"),
     ("_perron_off", lambda: check_perron_system(2, 3, 0, 11), "perron-system-residual"),
     ("_decider_disagrees", lambda: cross_validate_deciders(4, [("integral", 1, 2, 0)]), "decider-disagreement"),
     ("_decider_disagrees", lambda: cross_validate_deciders(4, [("parity", 2, 0)]), "decider-disagreement"),
@@ -929,7 +933,7 @@ def test_sharpness_checks_share_one_certificate_fail_shape(monkeypatch):
     # the route in the notes and no block deficiency in the metrics
     monkeypatch.setattr(harness, "_certificate_off", lambda *args: True)
     size = check_edge_count_sharpness(2, 3, 1, 30)
-    spectral = check_sharpness(1, 2, 0, 40, "spectral-fractional")
+    spectral = check_sharpness(1, 2, 0, 40, "fractional")
     for r in (size, spectral):
         assert r.status == "fail"
         assert r.counterexample["kind"] == "certificate-mismatch"
