@@ -46,7 +46,9 @@ nonnegative (positive on a connected graph).  Otherwise the power loop
 resumes, from the Ritz vector when it is positive and from its last
 iterate when not, and tries Lanczos again after another LANCZOS_AFTER
 steps.  A tol below the Ritz vector's residual floor near n eps fails
-its test, and a few power steps from it then reach tol.  Both phases
+every Lanczos test, so only the power steps between attempts can reach
+it; at a small spectral gap that takes long (a relabelled P_2000 at tol
+1e-13 takes 32,476 steps).  Both phases
 count towards `iterations` and `max_iter`.  Calls that stop within
 LANCZOS_AFTER steps never reach Lanczos, and the Lanczos phase does not
 screen.

@@ -136,7 +136,7 @@ class TestFractionalOracle:
         assert w.degrees == (Fraction(2),) * 4
 
     def test_degrees_past_the_half_table(self):
-        # degree 33 is 66 half-units, past the shared table of halves
+        # degree 33 is 66 half-units; witness degrees are exact at any size
         w = find_fractional_factor(complete_graph(34), 33, 33)
         assert w is not None
         assert w.degrees == (Fraction(33),) * 34
