@@ -13,7 +13,6 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
     path_graph,
-    to_dot,
     to_edge_list,
     to_graph6,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "parse_edge_list",
     "parse_graph6",
     "path_graph",
-    "to_dot",
     "to_edge_list",
     "to_graph6",
 ]

@@ -6,11 +6,10 @@ neighbourhood intersections, unions, and popcounts over vertex subsets are
 single integer operations.  Graphs are immutable after construction; edit
 operations return new graphs.
 
-Serialization: graph6 short form (n <= 62), a plain edge-list text format,
-and DOT output for quick visual inspection; serialize_graph picks graph6
-or edge-list text for a self-contained counterexample.  Also: an exact
-isomorphism test and reject-sampled random connected graphs, both at desk
-scale.
+Serialization: graph6 short form (n <= 62) and a plain edge-list text
+format; serialize_graph picks graph6 or edge-list text for a
+self-contained counterexample.  Also: an exact isomorphism test and
+reject-sampled random connected graphs, both at desk scale.
 """
 
 from __future__ import annotations
@@ -30,7 +29,8 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
-        # Internal constructor: callers go through from_edges / from_masks.
+        # Unchecked: the package passes rows it built symmetric and
+        # loop-free; other callers go through from_edges, which validates.
         self.n = n
         self.adj = adj
 
@@ -49,22 +49,6 @@ class Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, tuple(rows))
-
-    @classmethod
-    def from_masks(cls, masks: Iterable[int]) -> "Graph":
-        rows = tuple(masks)
-        n = len(rows)
-        full = (1 << n) - 1
-        for u, row in enumerate(rows):
-            if row & ~full:
-                raise ValueError(f"adjacency row {u} has bits beyond n={n}")
-            if row >> u & 1:
-                raise ValueError(f"loop at vertex {u} not allowed")
-        for u, row in enumerate(rows):
-            for v in bits(row):
-                if not rows[v] >> u & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        return cls(n, rows)
 
     # -- basic queries ----------------------------------------------------
 
@@ -331,16 +315,6 @@ def deserialize_graph(d: dict) -> Graph:
     if d["format"] == "edge-list":
         return parse_edge_list(d["data"])
     raise ValueError(f"unknown graph serialization format {d['format']!r}")
-
-
-def to_dot(g: Graph) -> str:
-    lines = ["graph G {"]
-    for v in range(g.n):
-        lines.append(f"  {v};")
-    for u, v in g.edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 # -- exhaustive enumeration ---------------------------------------------------

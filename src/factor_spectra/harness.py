@@ -85,7 +85,13 @@ from .graphs import (
     random_connected_graph,
     serialize_graph,
 )
-from .spectral import hong_bound, hong_bound_formula, radius_unless_below, spectral_radius
+from .spectral import (
+    hong_bound,
+    hong_bound_formula,
+    quotient_matrix,
+    radius_unless_below,
+    spectral_radius,
+)
 
 EIG_TOL = 1e-8
 RESIDUAL_TOL = 1e-7
@@ -152,10 +158,6 @@ def spectral_min_n(a: int, b: int, k: int) -> int:
     return 2 * (b + a + k + 2) * (b + k + 2)
 
 
-def _radius(graph: dict) -> float:
-    return spectral_radius(deserialize_graph(graph)).lam
-
-
 # -- individual checks ----------------------------------------------------------
 
 
@@ -199,9 +201,7 @@ def check_family_radius_bracket(a: int, b: int, k: int, n: int) -> CheckResult:
                 counterexample={
                     "kind": "spectral-out-of-interval",
                     "graph": serialize_graph(g),
-                    "lower": lo,
-                    "upper": hi,
-                    "lambda": lam,
+                    "a": a, "b": b, "k": k, "n": n,
                 },
                 notes=scope,
             )
@@ -257,6 +257,7 @@ def check_family_maximality(a: int, b: int, k: int, n: int) -> CheckResult:
                 counterexample={
                     "kind": "spectral-not-dominated",
                     "graph": serialize_graph(distinguished),
+                    "a": a, "b": b, "k": k, "n": n,
                     "rival": serialize_graph(g),
                 },
             )
@@ -321,28 +322,25 @@ def _sharpness_core(
 
     A failure reports metrics, plus delta when the shape is off; a
     certificate failure names the route in its notes."""
-    s_block = tuple(range(fparams.a + fparams.k))
-    cert, notes = None, ""
+    s_block = range(fparams.a + fparams.k)
+    cert, notes, got = None, "", {}
     if _shape_off(g, len(s_block)):
         metrics = {**metrics, "delta": g.min_degree()}
-        kind, fields = "hypothesis-shape-mismatch", {"expected_min_degree": len(s_block)}
+        kind = "hypothesis-shape-mismatch"
     elif edges is not None and _edge_count_off(g.edge_count, edges):
-        kind, fields = "edge-count-mismatch", {"expected": edges}
+        kind = "edge-count-mismatch"
     else:
         cert = _sharpness_certificate(g, route, fparams)
         if not _certificate_off(cert, s_block, 1):
             return None, cert
         kind, notes = "certificate-mismatch", _sharpness_route(g)
-        fields = {
-            "a": fparams.a,
-            "b": fparams.b,
-            "k": fparams.k,
-            "route": route,
-            "expected_s_set": list(s_block),
-            "expected_deficiency": 1,
-            "got": None if cert is None else cert.to_json(),
-        }
-    counterexample = {"kind": kind, "graph": serialize_graph(g), **fields}
+        got = {"got": None if cert is None else cert.to_json()}
+    counterexample = {
+        "kind": kind,
+        "graph": serialize_graph(g),
+        "a": fparams.a, "b": fparams.b, "k": fparams.k, "n": g.n, "route": route,
+        **got,
+    }
     return result("fail", metrics, counterexample=counterexample, notes=notes), cert
 
 
@@ -387,7 +385,10 @@ def _perron_metrics(g: Graph, a: int, b: int, k: int, n: int) -> dict:
     of check_perron_system, read off g's Perron vector."""
     report = spectral_radius(g)
     lam0, y = report.lam, report.perron
-    u1, w1, wa, t1, t2 = (part[0] for part in equitable_partition(ExtremalParams(a, b, k, n)))
+    # one vertex per class stands for the class: quotient_matrix checks
+    # exactly that the classes are equitable, so y is constant on each
+    parts = quotient_matrix(g, equitable_partition(ExtremalParams(a, b, k, n))).parts
+    u1, w1, wa, t1, t2 = (part[0] for part in parts)
     g_val = perron_ratio_cubic(a, b, k, n, lam0)
     ratio_lhs = y[t1] / y[t2]
     ratio_rhs = lam0 * (lam0 + 1.0) * (lam0 - (n - 2 * a - b - k - 1)) / g_val
@@ -454,10 +455,7 @@ def check_perron_system(a: int, b: int, k: int, n: int) -> CheckResult:
             counterexample={
                 "kind": "perron-system-residual",
                 "graph": serialize_graph(g),
-                "a": a,
-                "b": b,
-                "k": k,
-                "n": n,
+                "a": a, "b": b, "k": k, "n": n,
             },
         )
     return result("pass", metrics)
@@ -813,6 +811,7 @@ def explore_conjecture(r: int, k: int, n: int, budget: int, seed: int = 0) -> Ch
     rng = random.Random(seed)
 
     state = {"evals": 0}
+    # the graphs phases A and B have considered; phase C climbs without it
     seen: set[tuple[int, ...]] = {distinguished.adj}
     stats = {
         "qualifying": 0,
@@ -879,7 +878,6 @@ def explore_conjecture(r: int, k: int, n: int, budget: int, seed: int = 0) -> Ch
             stats["phase_c_restarts"] += 1
             g = random_connected_graph(rng, n, 0.4, min_degree=r + k)
             while True:
-                seen.add(g.adj)
                 spend()
                 report = spectral_radius(g)
                 if report.lam >= lam_f - STRICT_MARGIN:
@@ -927,6 +925,65 @@ def explore_conjecture(r: int, k: int, n: int, budget: int, seed: int = 0) -> Ch
 # -- counterexample revalidation ------------------------------------------------
 
 
+def _rebuilt(ce: dict, need: Callable, family: bool = False) -> tuple:
+    """(a, b, k, n), the counterexample's graph and the graphs the check
+    builds from those numbers: F, or with `family` every class
+    representative, F first.  Below the claim's order bound need(a, b, k),
+    or for a graph the check does not build, ValueError: the
+    counterexample does not reproduce."""
+    fp = ExtremalParams(ce["a"], ce["b"], ce["k"], ce["n"])
+    if family:
+        _family_guard(fp.a, fp.b, fp.k)
+    built = list(enumerate_family(fp)) if family else [extremal_graph(fp)]
+    g = deserialize_graph(ce["graph"])
+    if fp.n < need(fp.a, fp.b, fp.k) or g not in built:
+        raise ValueError("not an instance the check builds")
+    return fp, g, built
+
+
+def _interval_evidence(ce: dict) -> tuple:
+    fp, g, _ = _rebuilt(ce, bracket_min_n, family=True)
+    return spectral_radius(g).lam, float(fp.n - fp.b - 2), float(fp.n - fp.b - 1)
+
+
+def _domination_evidence(ce: dict) -> tuple:
+    _, f, reps = _rebuilt(ce, maximality_min_n, family=True)
+    rival = deserialize_graph(ce["rival"])
+    if f != reps[0] or rival not in reps[1:]:
+        raise ValueError("the graph must be F and the rival another representative")
+    return spectral_radius(f).lam, spectral_radius(rival).lam
+
+
+def _sharpness_evidence(ce: dict) -> tuple:
+    """(a, b, k, n), F and the route's parameters, as a sharpness check on
+    ce["route"] builds them: the size claim runs on the integral route from
+    size_min_n, the spectral claims from spectral_min_n, which is larger."""
+    route = ce["route"]
+    params = route_params(route, ce["a"], ce["b"], ce["k"])
+    fp, f, _ = _rebuilt(ce, size_min_n if route == "integral" else spectral_min_n)
+    return fp, f, params
+
+
+def _edge_count_evidence(ce: dict) -> tuple:
+    fp, f, _ = _sharpness_evidence(ce)
+    return f.edge_count, extremal_edge_count(fp)
+
+
+def _shape_evidence(ce: dict) -> tuple:
+    fp, f, _ = _sharpness_evidence(ce)
+    return f, fp.a + fp.k
+
+
+def _certificate_evidence(ce: dict) -> tuple:
+    fp, f, params = _sharpness_evidence(ce)
+    return _sharpness_certificate(f, ce["route"], params), range(fp.a + fp.k), 1
+
+
+def _perron_evidence(ce: dict) -> tuple:
+    fp, f, _ = _rebuilt(ce, bracket_min_n)
+    return (_perron_metrics(f, fp.a, fp.b, fp.k, fp.n),)
+
+
 def _hong_evidence(ce: dict) -> tuple:
     g = deserialize_graph(ce["graph"])
     return g, spectral_radius(g).lam, hong_bound(g)
@@ -960,38 +1017,16 @@ def _rotation_evidence(ce: dict) -> tuple:
 # "fail" by calling its predicate on values it computed itself;
 # evidence recomputes the same values from the serialized counterexample.
 # Tolerances are the module's constants, read by the predicates, never
-# fields of the counterexample, which could forge them.
+# fields of the counterexample, which could forge them.  Nor are the
+# family kinds' expected values: their evidence rebuilds F, the class
+# representatives and the claimed bracket, count, degree and block from
+# the counterexample's (a, b, k, n) alone.
 _COUNTEREXAMPLES: dict[str, tuple[Callable[..., bool], Callable[[dict], tuple]]] = {
-    "spectral-out-of-interval": (
-        _outside_interval,
-        lambda ce: (_radius(ce["graph"]), ce["lower"], ce["upper"]),
-    ),
-    "spectral-not-dominated": (
-        _not_dominated,
-        lambda ce: (_radius(ce["graph"]), _radius(ce["rival"])),
-    ),
-    "edge-count-mismatch": (
-        _edge_count_off,
-        lambda ce: (deserialize_graph(ce["graph"]).edge_count, ce["expected"]),
-    ),
-    "certificate-mismatch": (
-        _certificate_off,
-        lambda ce: (
-            _sharpness_certificate(
-                deserialize_graph(ce["graph"]),
-                ce["route"],
-                FactorParams(ce["a"], ce["b"], ce["k"]),
-            ),
-            ce["expected_s_set"],
-            ce["expected_deficiency"],
-        ),
-    ),
-    "perron-system-residual": (
-        _perron_off,
-        lambda ce: (
-            _perron_metrics(deserialize_graph(ce["graph"]), ce["a"], ce["b"], ce["k"], ce["n"]),
-        ),
-    ),
+    "spectral-out-of-interval": (_outside_interval, _interval_evidence),
+    "spectral-not-dominated": (_not_dominated, _domination_evidence),
+    "edge-count-mismatch": (_edge_count_off, _edge_count_evidence),
+    "certificate-mismatch": (_certificate_off, _certificate_evidence),
+    "perron-system-residual": (_perron_off, _perron_evidence),
     "decider-disagreement": (
         _decider_disagrees,
         lambda ce: _verdicts(
@@ -1003,10 +1038,7 @@ _COUNTEREXAMPLES: dict[str, tuple[Callable[..., bool], Callable[[dict], tuple]]]
         _curve_rises,
         lambda ce: (ce["p"], ce["q"], ce["x_low"], ce["x_high"]),
     ),
-    "hypothesis-shape-mismatch": (
-        _shape_off,
-        lambda ce: (deserialize_graph(ce["graph"]), ce["expected_min_degree"]),
-    ),
+    "hypothesis-shape-mismatch": (_shape_off, _shape_evidence),
     "monotonicity-violation": (_not_lowered, _monotonicity_evidence),
     "rotation-violation": (_not_raised, _rotation_evidence),
     "candidate-revalidation-failure": (_candidate_fails, lambda ce: (ce, ce["r"], ce["k"])),

@@ -1,4 +1,5 @@
-"""Adjacency spectral radius, Perron vectors, and degree-edge upper bounds.
+"""Adjacency spectral radius, Perron vectors, degree-edge upper bounds,
+and the exact integer quotient matrix of an equitable partition.
 
 Dependency-free by design: power iteration on the shifted matrix A + I.
 The shift makes the dominant eigenvalue of a connected graph strictly
@@ -90,15 +91,6 @@ class SpectralReport:
     iterations: int
     residual: float
     connected: bool
-
-    def to_json(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "perron": list(self.perron),
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "connected": self.connected,
-        }
 
 
 def spectral_radius(g: Graph, tol: float = TOL, max_iter: int = MAX_ITER) -> SpectralReport:
@@ -405,35 +397,3 @@ def quotient_matrix(g: Graph, parts: list[list[int]]) -> QuotientMatrix:
     return QuotientMatrix(
         parts=tuple(tuple(p) for p in parts), entries=tuple(entries)
     )
-
-
-def quotient_spectral_radius(g: Graph, parts: list[list[int]]) -> float:
-    """Dominant eigenvalue of the equitable-partition quotient matrix.
-
-    For an equitable partition of a connected graph this equals the
-    adjacency spectral radius, which gives an independent cross-check of
-    the power iteration on A.
-    """
-    quo = quotient_matrix(g, parts)
-    m = len(quo.entries)
-    # power iteration on (B + I); B is tiny (one row per part) but not
-    # symmetric, so convergence is judged on the estimate and the residual.
-    # Sums run left to right, not through sum(), whose float summation
-    # changed in Python 3.12, so every supported Python gives one result.
-    x = [1.0] * m
-    rho_prev = float("inf")
-    for _ in range(MAX_ITER):
-        y = []
-        for i in range(m):
-            acc = 0.0
-            for j in range(m):
-                acc += quo.entries[i][j] * x[j]
-            y.append(x[i] + acc)
-        rho = _rayleigh(x, y)
-        residual = max(abs(y[i] - rho * x[i]) for i in range(m))
-        scale = max(abs(v) for v in y) or 1.0
-        x = [v / scale for v in y]
-        if abs(rho - rho_prev) < 1e-12 and residual < 1e-12 * max(1.0, rho):
-            return rho - 1.0
-        rho_prev = rho
-    raise ConvergenceError("quotient power iteration did not converge")

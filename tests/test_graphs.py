@@ -33,7 +33,6 @@ from factor_spectra.graphs import (
     parse_graph6,
     path_graph,
     serialize_graph,
-    to_dot,
     to_edge_list,
     to_graph6,
 )
@@ -182,14 +181,6 @@ class TestBasics:
         assert g == h and hash(g) == hash(h)
         assert g != path_graph(4)
 
-    def test_from_masks_validation(self):
-        with pytest.raises(ValueError):
-            Graph.from_masks([0b10, 0b00])  # asymmetric
-        with pytest.raises(ValueError):
-            Graph.from_masks([0b01])  # loop
-        g = Graph.from_masks([0b10, 0b01])
-        assert g == complete_graph(2)
-
 
 class TestGraph6:
     def test_known_strings(self):
@@ -251,13 +242,6 @@ class TestEdgeList:
             parse_edge_list("3\n0 1\n0 1\n")
         with pytest.raises(ValueError):
             parse_edge_list("3\n0 5\n")
-
-
-class TestDot:
-    def test_dot_contains_edges(self):
-        s = to_dot(path_graph(3))
-        assert "graph G {" in s
-        assert "0 -- 1;" in s and "1 -- 2;" in s
 
 
 class TestEnumeration:

@@ -21,7 +21,7 @@ import pytest
 
 from factor_spectra import criticality, factors, harness
 from factor_spectra.criticality import FactorParams, certificate_at, is_rk_critical
-from factor_spectra.families import ExtremalParams, extremal_graph
+from factor_spectra.families import ExtremalParams, enumerate_family, extremal_graph
 from factor_spectra.graphs import (
     complete_bipartite,
     complete_graph,
@@ -528,66 +528,63 @@ def test_explorer_guards():
 # -- counterexample revalidation -------------------------------------------------------
 
 
-def test_revalidate_interval_kind():
-    # C_5 has radius 2: genuinely outside (3, 4), inside (1.5, 2.5)
-    ce = {
-        "kind": "spectral-out-of-interval",
-        "graph": serialize_graph(cycle_graph(5)),
-        "lower": 3.0,
-        "upper": 4.0,
-        "lambda": 2.0,
-    }
-    assert revalidate_counterexample(ce)
-    ce["lower"], ce["upper"] = 1.5, 2.5
+def _family_record(kind: str, a: int, b: int, k: int, n: int, g, **fields) -> dict:
+    return {"kind": kind, "graph": serialize_graph(g), "a": a, "b": b, "k": k, "n": n, **fields}
+
+
+def test_revalidate_interval_kind(monkeypatch):
+    # F, the one class at (1, 2, 0, 6), lies inside (2, 3); a margin of 1
+    # puts it outside, and then only a class representative reproduces
+    n = bracket_min_n(1, 2, 0)
+    rep = list(enumerate_family(ExtremalParams(1, 2, 0, n)))[-1]
+    ce = _family_record("spectral-out-of-interval", 1, 2, 0, n, rep)
     assert not revalidate_counterexample(ce)
-
-
-def test_revalidate_domination_kind():
-    ce = {
-        "kind": "spectral-not-dominated",
-        "graph": serialize_graph(complete_graph(4)),
-        "rival": serialize_graph(complete_graph(5)),
-    }
+    monkeypatch.setattr(harness, "BRACKET_MARGIN", 1.0)
     assert revalidate_counterexample(ce)
-    ce["rival"] = serialize_graph(path_graph(4))
+    assert revalidate_counterexample({**ce, "graph": serialize_graph(complete_graph(n))}) is False
+    # below the claim's order bound the check builds nothing to compare
+    assert revalidate_counterexample({**ce, "n": n - 1}) is False
+
+
+def test_revalidate_domination_kind(monkeypatch):
+    n = maximality_min_n(3, 3, 0)
+    f, rival = list(enumerate_family(ExtremalParams(3, 3, 0, n)))[:2]
+    ce = _family_record("spectral-not-dominated", 3, 3, 0, n, f, rival=serialize_graph(rival))
     assert not revalidate_counterexample(ce)
-
-
-def test_revalidate_edge_count_kind():
-    ce = {
-        "kind": "edge-count-mismatch",
-        "graph": serialize_graph(complete_graph(4)),
-        "expected": 5,
-    }
+    monkeypatch.setattr(harness, "STRICT_MARGIN", 1.0)
     assert revalidate_counterexample(ce)
-    ce["expected"] = 6
+    # the graph must be F and the rival another class representative
+    assert revalidate_counterexample({**ce, "graph": ce["rival"]}) is False
+    assert revalidate_counterexample({**ce, "rival": ce["graph"]}) is False
+
+
+def test_revalidate_edge_count_kind(monkeypatch):
+    n = size_min_n(1, 2, 0)
+    f = extremal_graph(ExtremalParams(1, 2, 0, n))
+    ce = _family_record("edge-count-mismatch", 1, 2, 0, n, f, route="integral")
     assert not revalidate_counterexample(ce)
+    # a formula one off is a real mismatch, read from the rebuilt F
+    monkeypatch.setattr(harness, "extremal_edge_count", lambda fp: f.edge_count + 1)
+    assert revalidate_counterexample(ce)
+    assert revalidate_counterexample({**ce, "graph": serialize_graph(complete_graph(n))}) is False
 
 
-def test_revalidate_certificate_kind():
-    fp = ExtremalParams(1, 2, 0, 10)
-    g = extremal_graph(fp)
-    ce = {
-        "kind": "certificate-mismatch",
-        "graph": serialize_graph(g),
-        "route": "integral",
-        "a": 1,
-        "b": 2,
-        "k": 0,
-        "expected_s_set": [0],
-        "expected_deficiency": 2,
-        "got": None,
-    }
-    # the block deficiency is actually 1, so "expected 2" is a real mismatch
+def test_revalidate_certificate_kind(monkeypatch):
+    n = size_min_n(1, 2, 0)
+    g = extremal_graph(ExtremalParams(1, 2, 0, n))
+    ce = _family_record("certificate-mismatch", 1, 2, 0, n, g, route="integral", got=None)
+    # the block {0} violates with deficiency exactly 1, as the claim says
     assert certificate_at(g, "integral", FactorParams(1, 2, 0), (0,)).deficiency == 1
-    assert revalidate_counterexample(ce)
+    assert not revalidate_counterexample(ce)
     # a missing route is a missing field, which does not reproduce
     assert revalidate_counterexample({k: v for k, v in ce.items() if k != "route"}) is False
-    ce["expected_deficiency"] = 1
-    assert not revalidate_counterexample(ce)
     # an ill-formed window or graph does not reproduce, and raises nothing
     assert revalidate_counterexample({**ce, "a": 0}) is False
     assert revalidate_counterexample({**ce, "graph": {"format": "graph6", "data": "I?"}}) is False
+    assert revalidate_counterexample({**ce, "route": "parity"}) is False
+    # a decider that finds no violating set is a real mismatch
+    monkeypatch.setattr(harness, "_sharpness_certificate", lambda *args: None)
+    assert revalidate_counterexample(ce)
 
 
 def test_revalidate_decider_agreement_kinds():
@@ -735,32 +732,27 @@ def test_revalidate_curve_kind():
     assert revalidate_counterexample(ce)
 
 
-def test_revalidate_shape_kind():
-    ce = {
-        "kind": "hypothesis-shape-mismatch",
-        "graph": serialize_graph(path_graph(4)),
-        "expected_min_degree": 2,
-    }
-    assert revalidate_counterexample(ce)
-    ce["expected_min_degree"] = 1
+def test_revalidate_shape_kind(monkeypatch):
+    n = size_min_n(1, 2, 0)
+    f = extremal_graph(ExtremalParams(1, 2, 0, n))
+    ce = _family_record("hypothesis-shape-mismatch", 1, 2, 0, n, f, route="integral")
     assert not revalidate_counterexample(ce)
+    # an extremal_graph that returns K_n gives a real mismatch, on K_n alone
+    monkeypatch.setattr(harness, "extremal_graph", lambda fp: complete_graph(fp.n))
+    assert revalidate_counterexample({**ce, "graph": serialize_graph(complete_graph(n))})
+    assert revalidate_counterexample(ce) is False
 
 
-def test_revalidate_perron_kind():
+def test_revalidate_perron_kind(monkeypatch):
     a, b, k = 2, 3, 0
     n = bracket_min_n(a, b, k)
-    ce = {
-        "kind": "perron-system-residual",
-        "graph": serialize_graph(extremal_graph(ExtremalParams(a, b, k, n))),
-        "a": a,
-        "b": b,
-        "k": k,
-        "n": n,
-    }
+    f = extremal_graph(ExtremalParams(a, b, k, n))
+    ce = _family_record("perron-system-residual", a, b, k, n, f)
     assert not revalidate_counterexample(ce)
-    # K_n has a constant Perron vector, which breaks the first identity
-    ce["graph"] = serialize_graph(complete_graph(n))
+    monkeypatch.setattr(harness, "RESIDUAL_TOL", 0.0)
     assert revalidate_counterexample(ce)
+    # K_n breaks the first identity, but it is not the instance the check builds
+    assert revalidate_counterexample({**ce, "graph": serialize_graph(complete_graph(n))}) is False
 
 
 def test_revalidation_ignores_tolerances_written_into_the_counterexample():
@@ -768,21 +760,16 @@ def test_revalidation_ignores_tolerances_written_into_the_counterexample():
     # claims: the check's own constants decide, as they did when it ran
     a, b, k = 2, 3, 0
     n = bracket_min_n(a, b, k)
+    family = list(enumerate_family(ExtremalParams(3, 3, 0, 16)))
     forged = [
-        {
-            "kind": "spectral-out-of-interval",
-            "graph": serialize_graph(cycle_graph(5)),
-            "lower": 1.5,
-            "upper": 2.5,
-            "lambda": 2.0,
-            "margin": 10,
-        },
-        {
-            "kind": "spectral-not-dominated",
-            "graph": serialize_graph(complete_graph(4)),
-            "rival": serialize_graph(path_graph(4)),
-            "margin": 10,
-        },
+        _family_record(
+            "spectral-out-of-interval", 1, 2, 0, 6, extremal_graph(ExtremalParams(1, 2, 0, 6)),
+            margin=10,
+        ),
+        _family_record(
+            "spectral-not-dominated", 3, 3, 0, 16, family[0],
+            rival=serialize_graph(family[1]), margin=10,
+        ),
         {
             "kind": "perron-system-residual",
             "graph": serialize_graph(extremal_graph(ExtremalParams(a, b, k, n))),
@@ -805,6 +792,44 @@ def test_revalidation_ignores_tolerances_written_into_the_counterexample():
     ]
     for ce in forged:
         assert revalidate_counterexample(ce) is False, ce["kind"]
+
+
+def _f(a: int, b: int, k: int, n: int):
+    return extremal_graph(ExtremalParams(a, b, k, n))
+
+
+# each record claims instance values the check never computed; the fields
+# a revalidation before the rebuild read are kept, with (a, b, k, n) added
+FORGED_INSTANCE_VALUES = {
+    "interval-on-c5": _family_record(
+        "spectral-out-of-interval", 1, 2, 0, 6, cycle_graph(5),
+        **{"lower": 3.0, "upper": 4.0, "lambda": 2.0},
+    ),
+    "edge-count-expected-0": _family_record(
+        "edge-count-mismatch", 2, 3, 0, 11, _f(2, 3, 0, 11), route="integral", expected=0
+    ),
+    "f-as-its-own-rival": _family_record(
+        "spectral-not-dominated", 3, 3, 0, 16, _f(3, 3, 0, 16),
+        rival=serialize_graph(_f(3, 3, 0, 16)),
+    ),
+    "perron-on-k11": _family_record("perron-system-residual", 2, 3, 0, 11, complete_graph(11)),
+    "shape-on-k5": _family_record(
+        "hypothesis-shape-mismatch", 1, 2, 0, 16, complete_graph(5),
+        route="integral", expected_min_degree=0,
+    ),
+    "certificate-expects-5": _family_record(
+        "certificate-mismatch", 1, 2, 0, 16, _f(1, 2, 0, 16),
+        route="integral", expected_s_set=[5], expected_deficiency=1, got=None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORGED_INSTANCE_VALUES))
+def test_forged_instance_values_do_not_reproduce(name):
+    # evidence rebuilds F, the class representatives, the bracket, the
+    # edge count, the degree a + k and the block from (a, b, k, n), and a
+    # graph or rival that is not the rebuilt instance does not reproduce
+    assert revalidate_counterexample(FORGED_INSTANCE_VALUES[name]) is False
 
 
 def test_revalidate_unknown_kind():
@@ -866,6 +891,15 @@ def _assert_same_record(got, want, path="record"):
         assert got == want, (path, got, want)
 
 
+def test_readme_library_block_runs():
+    # the README's library example runs as printed, quick battery included
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "quotient_matrix" in block
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_quick_battery_all_pass():
     results = [run_check(name, kwargs) for name, kwargs in battery_plan("quick", seed=0)]
     for r in results:
@@ -913,6 +947,20 @@ def test_fail_path_counterexample_rechecks(monkeypatch, predicate, check, kind):
     assert r.counterexample["kind"] == kind
     assert kind in _COUNTEREXAMPLES
     assert revalidate_counterexample(r.counterexample) is False
+
+
+@pytest.mark.parametrize(
+    "predicate, check, kind", FAIL_PATHS, ids=[f"{p}-{i}" for i, (p, _, _) in enumerate(FAIL_PATHS)]
+)
+def test_fail_path_counterexample_reproduces_when_its_predicate_holds(
+    monkeypatch, predicate, check, kind
+):
+    # the evidence of every genuine record is well formed and names the
+    # instance the check built, so with its predicate forced it reproduces
+    monkeypatch.setattr(harness, predicate, lambda *args: True)
+    r = check()
+    monkeypatch.setitem(_COUNTEREXAMPLES, kind, (lambda *args: True, _COUNTEREXAMPLES[kind][1]))
+    assert revalidate_counterexample(r.counterexample) is True
 
 
 @pytest.mark.parametrize(
